@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 BENCHOUT ?=
 FUZZPKGS ?= ./internal/dynet ./internal/faults ./internal/advsearch
 
-.PHONY: build test race lint fuzz bench chaos ci
+.PHONY: build test race stress lint fuzz bench chaos ci
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,17 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Concurrency stress: rerun the packages with goroutines, sockets and
+# barriers 50 times under -race at 1, 2 and 4 CPUs, so intermittent
+# ordering bugs fail here rather than after review. dynet runs only its
+# worker-count equivalence tests: its full suite is too slow under -race
+# for 150 passes.
+stress:
+	$(GO) test -race -count=50 -cpu 1,2,4 ./internal/serve ./internal/wire ./cmd/dynnode
+	$(GO) test -race -count=50 -cpu 1,2,4 \
+		-run 'TestParallelMatchesSequential|TestFaultyRunDeterministicAcrossWorkers|TestFaultGoldenEquivalence' \
+		./internal/dynet
 
 lint:
 	$(GO) vet ./...

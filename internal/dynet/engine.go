@@ -1,7 +1,6 @@
 package dynet
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -34,9 +33,9 @@ type Engine struct {
 	// machines emit their own phase and lock events through their own
 	// sinks; the engine only reports what it can see. A nil Obs keeps
 	// the round loop exactly on the zero-allocation path pinned by the
-	// alloc regression tests. Events are emitted from the coordinator
-	// goroutine only, so a single-goroutine sink (obs.Ring) is safe at
-	// any Workers setting.
+	// alloc regression tests. Events are emitted from the round
+	// driver's goroutine only, so a single-goroutine sink (obs.Ring) is
+	// safe at any Workers setting.
 	Obs obs.Sink
 	// Metrics, when non-nil, accumulates run totals (engine_rounds_total,
 	// engine_messages_total, engine_bits_total) and per-round histograms
@@ -88,26 +87,10 @@ type Result struct {
 
 // Run executes up to maxRounds rounds, stopping early when the termination
 // predicate holds. It returns an error on model violations (bit budget or
-// connectivity).
-//
-// The round loop is steady-state allocation-free: inbox backing arrays are
-// reused across rounds, inboxes are assembled by an in-place insertion sort
-// over the already-ascending neighbor order (no sort.Slice closure), and
-// the connectivity check runs over preallocated scratch buffers. Per-round
-// allocations, if any, come from the machines or the adversary. The
-// hotpathalloc rule enforces this interprocedurally; setup-phase and
-// error-path lines carry documented allows.
-//
-//lint:hotpath
+// connectivity). Run is Drive over the local executor: the engine's own
+// machines, stepped and delivered in this process.
 func (e *Engine) Run(maxRounds int) (*Result, error) {
 	n := len(e.Machines)
-	if n == 0 {
-		return &Result{Done: true}, nil //lint:allow hotpathalloc empty-engine early return, not the round loop
-	}
-	budget := e.Budget
-	if budget == 0 {
-		budget = Budget(n)
-	}
 	workers := e.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -119,137 +102,29 @@ func (e *Engine) Run(maxRounds int) (*Result, error) {
 	if terminated == nil {
 		terminated = AllDecided
 	}
-
-	res := &Result{Rounds: maxRounds} //lint:allow hotpathalloc setup phase, before the round loop
-	actions := make([]Action, n)      //lint:allow hotpathalloc setup phase, before the round loop
-	outgoing := make([]Message, n)    //lint:allow hotpathalloc setup phase, before the round loop
-	inboxes := make([][]Message, n)   //lint:allow hotpathalloc setup phase, before the round loop
-	var dist, queue []int32
-	if e.CheckConnectivity {
-		dist = make([]int32, n)  //lint:allow hotpathalloc setup phase, before the round loop
-		queue = make([]int32, n) //lint:allow hotpathalloc setup phase, before the round loop
-	}
-	observing := e.Obs != nil
-	var decided []bool
-	if observing {
-		decided = make([]bool, n) //lint:allow hotpathalloc setup phase, before the round loop
-		for v, m := range e.Machines {
-			_, decided[v] = m.Output()
-		}
-	}
-	sendersHist := e.Metrics.Histogram("engine_round_senders", RoundHistBounds) //lint:allow hotpathalloc setup-phase registry lookup, amortized across the run
-	bitsHist := e.Metrics.Histogram("engine_round_bits", RoundHistBounds)       //lint:allow hotpathalloc setup-phase registry lookup, amortized across the run
-	var fs *faultState
-	if e.Plan.Enabled() {
-		fs = newFaultState(e.Plan, e.Obs, e.Metrics, n) //lint:allow hotpathalloc setup phase: fault state preallocates its round buffers
-	}
-
-	for r := 1; r <= maxRounds; r++ {
-		if observing {
-			e.Obs.Emit(obs.Event{Kind: obs.KindRoundStart, Round: int32(r)})
-		}
-		// Phase 0 (faults only): advance the crash schedule so down nodes
-		// are frozen — not stepped, not sending, not receiving — for the
-		// whole round.
-		var down []bool
-		if fs != nil {
-			fs.beginRound(r)
-			down = fs.down
-		}
-		// Phase 1: coin flips and send/receive commitment.
-		e.step(r, actions, outgoing, workers, down)
-		roundSenders, roundBits := 0, 0
-		for v := 0; v < n; v++ {
-			if actions[v] == Send {
-				if outgoing[v].NBits > budget {
-					return nil, budgetError(v, r, outgoing[v].NBits, budget) //lint:allow hotpathalloc error path terminates the run
-				}
-				roundSenders++
-				roundBits += outgoing[v].NBits
-				if observing {
-					e.Obs.Emit(obs.Event{Kind: obs.KindSend, Round: int32(r), Node: int32(v), A: int64(outgoing[v].NBits)})
-				}
-			}
-		}
-		res.Messages += roundSenders
-		res.Bits += roundBits
-		sendersHist.Observe(int64(roundSenders))
-		bitsHist.Observe(int64(roundBits))
-
-		// Phase 2: the adversary fixes the topology knowing the actions.
-		g := e.Adv.Topology(r, actions) //lint:allow hotpathalloc adversaries own their per-round topology allocation budget
-		if g == nil || g.N() != n {
-			return nil, fmt.Errorf("dynet: adversary returned topology over %v nodes, want %d", gN(g), n) //lint:allow hotpathalloc error path terminates the run
-		}
-		if e.CheckConnectivity && !g.ConnectedInto(dist, queue) {
-			return nil, fmt.Errorf("dynet: adversary returned disconnected topology in round %d", r) //lint:allow hotpathalloc error path terminates the run
-		}
-		if fs != nil && fs.edgeFaults {
-			// The adversary met its connectivity obligation above; the
-			// fault layer may now legitimately disconnect the round.
-			g = fs.perturb(r, g)
-		}
-
-		// Phase 3: delivery to receiving nodes.
-		if fs != nil && (fs.deliveryFaults || fs.nodeFaults) {
-			fs.collect(r, g, actions, outgoing, inboxes)
-		} else {
-			collect(g, actions, outgoing, inboxes)
-		}
-		e.deliver(r, actions, inboxes, workers, down)
-
-		if e.Trace != nil {
-			e.Trace.record(r, g, actions, outgoing) //lint:allow hotpathalloc tracing is opt-in; the Cloner amortizes via arenas
-		}
-
-		if observing {
-			for v, m := range e.Machines {
-				if !decided[v] {
-					if out, ok := m.Output(); ok {
-						decided[v] = true
-						e.Obs.Emit(obs.Event{Kind: obs.KindDecide, Round: int32(r), Node: int32(v), A: out})
-					}
-				}
-			}
-			e.Obs.Emit(obs.Event{Kind: obs.KindRoundEnd, Round: int32(r), A: int64(roundSenders), B: int64(roundBits)})
-		}
-
-		if terminated(e.Machines) {
-			res.Rounds = r
-			res.Done = true
-			break
-		}
-	}
-
-	res.Outputs = make([]int64, n) //lint:allow hotpathalloc post-loop result assembly
-	res.Decided = make([]bool, n)  //lint:allow hotpathalloc post-loop result assembly
-	for v, m := range e.Machines {
-		res.Outputs[v], res.Decided[v] = m.Output()
-	}
-	if !res.Done && maxRounds < 1 {
-		// The loop never ran, so the predicate was never evaluated; ask
-		// once. (After a full loop the last in-loop evaluation is already
-		// authoritative — machines do not change between rounds.)
-		res.Done = terminated(e.Machines)
-	}
-	if e.Metrics != nil {
-		e.Metrics.Counter("engine_rounds_total").Add(int64(res.Rounds))     //lint:allow hotpathalloc post-loop metrics flush
-		e.Metrics.Counter("engine_messages_total").Add(int64(res.Messages)) //lint:allow hotpathalloc post-loop metrics flush
-		e.Metrics.Counter("engine_bits_total").Add(int64(res.Bits))         //lint:allow hotpathalloc post-loop metrics flush
-	}
-	return res, nil
+	return e.Drive(&local{e: e, workers: workers, terminated: terminated}, n, maxRounds) //lint:allow hotpathalloc one executor per run, before the round loop; Drive is its own root
 }
 
-// RoundHistBounds buckets per-round sender and bit totals geometrically;
-// shared so merged sweep registries agree on one bucket layout.
-var RoundHistBounds = []int64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536}
-
-func gN(g *graph.Graph) interface{} {
-	if g == nil {
-		return "nil"
-	}
-	return g.N()
+// local is Run's executor: the engine's machines in this process.
+type local struct {
+	e          *Engine
+	workers    int
+	terminated func(ms []Machine) bool
 }
+
+func (x *local) Step(rd *Round) error {
+	x.e.step(rd.R, rd.Actions, rd.Outgoing, x.workers, rd.Down)
+	return nil
+}
+
+func (x *local) Deliver(rd *Round) error {
+	x.e.deliver(rd.R, rd.Actions, rd.Inboxes, x.workers, rd.Down)
+	return nil
+}
+
+func (x *local) Output(v int) (int64, bool) { return x.e.Machines[v].Output() }
+
+func (x *local) Terminated() bool { return x.terminated(x.e.Machines) }
 
 // AllDecided is the default termination predicate: every node has output.
 func AllDecided(ms []Machine) bool {
@@ -277,31 +152,28 @@ func NodeDecided(v int) func([]Machine) bool {
 //
 //lint:hotpath
 func (e *Engine) step(r int, actions []Action, outgoing []Message, workers int, down []bool) {
-	n := len(e.Machines)
 	if workers <= 1 {
-		for v := 0; v < n; v++ {
-			if down != nil && down[v] {
-				actions[v], outgoing[v] = Receive, Message{}
-				continue
-			}
-			actions[v], outgoing[v] = e.Machines[v].Step(r) //lint:allow hotpathalloc machines own their per-step allocation budget (pinned by AllocsPerRun tests)
-			outgoing[v].From = v
-		}
+		e.stepRange(r, 0, len(e.Machines), actions, outgoing, down)
 		return
 	}
-	parallelFor(n, workers, func(v int) { //lint:allow hotpathalloc parallel path trades goroutine allocations for wall clock; sequential path is the zero-alloc baseline
+	parallelFor(len(e.Machines), workers, func(lo, hi int) { e.stepRange(r, lo, hi, actions, outgoing, down) }) //lint:allow hotpathalloc parallel path trades goroutine allocations for wall clock; sequential path is the zero-alloc baseline
+}
+
+// stepRange is step's one per-node body, over nodes [lo, hi).
+func (e *Engine) stepRange(r, lo, hi int, actions []Action, outgoing []Message, down []bool) {
+	for v := lo; v < hi; v++ {
 		if down != nil && down[v] {
 			actions[v], outgoing[v] = Receive, Message{}
-			return
+			continue
 		}
 		actions[v], outgoing[v] = e.Machines[v].Step(r) //lint:allow hotpathalloc machines own their per-step allocation budget (pinned by AllocsPerRun tests)
 		outgoing[v].From = v
-	})
+	}
 }
 
 // collect builds each receiving node's inbox: the messages of its sending
 // neighbors, ordered by sender id. Adjacency lists are sorted ascending, so
-// the inbox comes out ordered already; sortByFrom is a pure-safety pass
+// the inbox comes out ordered already; SortByFrom is a pure-safety pass
 // that costs one comparison per message on that sorted input.
 func collect(g *graph.Graph, actions []Action, outgoing []Message, inboxes [][]Message) {
 	for v := range inboxes {
@@ -312,16 +184,18 @@ func collect(g *graph.Graph, actions []Action, outgoing []Message, inboxes [][]M
 					inbox = append(inbox, outgoing[u])
 				}
 			}
-			sortByFrom(inbox)
+			SortByFrom(inbox)
 		}
 		inboxes[v] = inbox
 	}
 }
 
-// sortByFrom sorts messages by sender id with an in-place insertion sort:
+// SortByFrom sorts messages by sender id with an in-place insertion sort:
 // O(k) on the already-ascending inboxes the engine assembles, and free of
-// the closure allocation sort.Slice would pay per node per round.
-func sortByFrom(msgs []Message) {
+// the closure allocation sort.Slice would pay per node per round. Node
+// processes of a distributed run sort the inboxes they assemble from
+// relay frames with it too, so delivery order is one shared invariant.
+func SortByFrom(msgs []Message) {
 	for i := 1; i < len(msgs); i++ {
 		if msgs[i-1].From <= msgs[i].From {
 			continue
@@ -341,45 +215,39 @@ func sortByFrom(msgs []Message) {
 //
 //lint:hotpath
 func (e *Engine) deliver(r int, actions []Action, inboxes [][]Message, workers int, down []bool) {
-	n := len(e.Machines)
 	if workers <= 1 {
-		for v := 0; v < n; v++ {
-			if actions[v] == Receive && !(down != nil && down[v]) {
-				e.Machines[v].Deliver(r, inboxes[v]) //lint:allow hotpathalloc machines own their per-step allocation budget (pinned by AllocsPerRun tests)
-			}
-		}
+		e.deliverRange(r, 0, len(e.Machines), actions, inboxes, down)
 		return
 	}
-	parallelFor(n, workers, func(v int) { //lint:allow hotpathalloc parallel path trades goroutine allocations for wall clock; sequential path is the zero-alloc baseline
+	parallelFor(len(e.Machines), workers, func(lo, hi int) { e.deliverRange(r, lo, hi, actions, inboxes, down) }) //lint:allow hotpathalloc parallel path trades goroutine allocations for wall clock; sequential path is the zero-alloc baseline
+}
+
+// deliverRange is deliver's one per-node body, over nodes [lo, hi).
+func (e *Engine) deliverRange(r, lo, hi int, actions []Action, inboxes [][]Message, down []bool) {
+	for v := lo; v < hi; v++ {
 		if actions[v] == Receive && !(down != nil && down[v]) {
 			e.Machines[v].Deliver(r, inboxes[v]) //lint:allow hotpathalloc machines own their per-step allocation budget (pinned by AllocsPerRun tests)
 		}
-	})
+	}
 }
 
-// parallelFor runs fn(i) for i in [0, n) across the given number of
-// goroutines, splitting the index space into contiguous chunks.
-func parallelFor(n, workers int, fn func(i int)) {
+// parallelFor splits [0, n) into contiguous chunks, one per worker
+// goroutine, and runs fn(lo, hi) on each.
+func parallelFor(n, workers int, fn func(lo, hi int)) {
 	if workers > n {
 		workers = n
 	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
+	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
-		if lo >= hi {
-			break
-		}
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
+			fn(lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()

@@ -154,7 +154,7 @@ func (fs *faultState) collect(r int, g *graph.Graph, actions []Action, outgoing 
 					fs.emit(faultNameDup, r, v, int(u), 0)
 				}
 			}
-			sortByFrom(inbox)
+			SortByFrom(inbox)
 		}
 		inboxes[v] = inbox
 	}
@@ -166,9 +166,7 @@ func (fs *faultState) collect(r int, g *graph.Graph, actions []Action, outgoing 
 // rather than complicating the engine's arena story.
 func corruptCopy(msg Message, bit int) Message {
 	p := append([]byte(nil), msg.Payload...) //lint:allow hotpathalloc corruption is rare; the copy is the documented per-fault cost
-	if byteIdx := bit / 8; byteIdx < len(p) {
-		p[byteIdx] ^= 1 << uint(bit%8)
-	}
+	faults.FlipPayloadBit(p, bit)
 	msg.Payload = p
 	return msg
 }

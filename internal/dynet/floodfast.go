@@ -1,7 +1,6 @@
 package dynet
 
 import (
-	"fmt"
 	"math/bits"
 
 	"dyndiam/internal/bitkernel"
@@ -172,8 +171,7 @@ func (e *Engine) TryFloodFast(maxRounds int, stop FloodStop) (*Result, bool, err
 	if budget == 0 {
 		budget = Budget(n)
 	}
-	sendersHist := e.Metrics.Histogram("engine_round_senders", RoundHistBounds) //lint:allow hotpathalloc setup-phase registry lookup, amortized across the run
-	bitsHist := e.Metrics.Histogram("engine_round_bits", RoundHistBounds)       //lint:allow hotpathalloc setup-phase registry lookup, amortized across the run
+	sendersHist, bitsHist := roundHists(e.Metrics) //lint:allow hotpathalloc setup-phase registry lookup, amortized across the run
 	if tokenBits > budget {
 		// Run would reject the lowest-id sender in round 1, before
 		// consulting the adversary; every sender carries the same
@@ -238,10 +236,8 @@ func (e *Engine) TryFloodFast(maxRounds int, stop FloodStop) (*Result, bool, err
 		bf.SyncFlood(fres.Informed.Test(v), token, fres.Rounds)
 		res.Outputs[v], res.Decided[v] = m.Output()
 	}
+	flushTotals(e.Metrics, res) //lint:allow hotpathalloc post-kernel metrics flush
 	if e.Metrics != nil {
-		e.Metrics.Counter("engine_rounds_total").Add(int64(res.Rounds))               //lint:allow hotpathalloc post-kernel metrics flush
-		e.Metrics.Counter("engine_messages_total").Add(int64(res.Messages))           //lint:allow hotpathalloc post-kernel metrics flush
-		e.Metrics.Counter("engine_bits_total").Add(int64(res.Bits))                   //lint:allow hotpathalloc post-kernel metrics flush
 		e.Metrics.Counter("engine_floodfast_runs_total").Add(1)                       //lint:allow hotpathalloc post-kernel metrics flush
 		e.Metrics.Counter("engine_floodfast_diff_ops_total").Add(int64(topo.diffOps)) //lint:allow hotpathalloc post-kernel metrics flush
 	}
@@ -251,8 +247,8 @@ func (e *Engine) TryFloodFast(maxRounds int, stop FloodStop) (*Result, bool, err
 
 // floodTopo adapts the engine's Adversary to bitkernel.Topologies: it
 // rebuilds the per-round action commitments from the informed set (every
-// informed node sends), validates and connectivity-checks topologies like
-// Run does, and — when the adversary is a DeltaAdversary — maintains one
+// informed node sends), validates topologies through Drive's topoCheck,
+// and — when the adversary is a DeltaAdversary — maintains one
 // mutable CSR snapshot that each round's edge-diff script mutates in
 // place instead of materializing a fresh graph.
 type floodTopo struct {
@@ -264,10 +260,8 @@ type floodTopo struct {
 	snap     *graph.Graph   // delta path's mutable round topology
 	diff     EdgeDiff
 	diffOps  int
-	lastDiff int  // diff ops applied by the most recent round (obs sample)
-	check    bool // connectivity checking, from Engine.CheckConnectivity
-	dist     []int32
-	queue    []int32
+	lastDiff int // diff ops applied by the most recent round (obs sample)
+	check    topoCheck
 }
 
 func newFloodTopo(e *Engine, n int) *floodTopo {
@@ -276,15 +270,11 @@ func newFloodTopo(e *Engine, n int) *floodTopo {
 		n:       n,
 		actions: make([]Action, n),
 		prev:    bitkernel.New(n),
-		check:   e.CheckConnectivity,
+		check:   newTopoCheck(n, e.CheckConnectivity),
 	}
 	if da, ok := e.Adv.(DeltaAdversary); ok {
 		t.delta = da
 		t.snap = graph.New(n)
-	}
-	if t.check {
-		t.dist = make([]int32, n)
-		t.queue = make([]int32, n)
 	}
 	return t
 }
@@ -321,11 +311,8 @@ func (t *floodTopo) Round(r int, informed bitkernel.Bits) (*graph.Graph, error) 
 			g = t.snap
 		}
 	}
-	if g == nil || g.N() != t.n {
-		return nil, fmt.Errorf("dynet: adversary returned topology over %v nodes, want %d", gN(g), t.n) //lint:allow hotpathalloc error path terminates the run
-	}
-	if t.check && !g.ConnectedInto(t.dist, t.queue) {
-		return nil, fmt.Errorf("dynet: adversary returned disconnected topology in round %d", r) //lint:allow hotpathalloc error path terminates the run
+	if err := t.check.validate(r, g); err != nil {
+		return nil, err
 	}
 	return g, nil
 }

@@ -406,32 +406,52 @@ func TestFloodFastObservedStride(t *testing.T) {
 	}
 }
 
-func TestFloodFastDisconnectedTopologyError(t *testing.T) {
+// TestFloodFastTopologyErrors pins every model error on an adversary's
+// topology: a nil graph, one over the wrong node count, and a
+// disconnected one must fail the fast path with the message path's
+// exact error text.
+func TestFloodFastTopologyErrors(t *testing.T) {
 	n := 5
-	disconnected := dynet.AdversaryFunc(func(r int, _ []dynet.Action) *graph.Graph {
-		return graph.New(n) // no edges
-	})
-	run := func(fast bool) error {
-		e := &dynet.Engine{
-			Machines:          newFloodMachines(n, 2, 0),
-			Adv:               disconnected,
-			Workers:           1,
-			CheckConnectivity: true,
-		}
-		if fast {
-			_, ok, err := e.TryFloodFast(8, dynet.StopNode(0))
-			if !ok {
-				t.Fatal("fast path declined")
+	for _, tc := range []struct {
+		name string
+		bad  *graph.Graph
+	}{
+		{"nil", nil},
+		{"wrong-size", graph.Ring(n - 1)},
+		{"disconnected", graph.New(n)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Misbehave in round 3, after the flood has started but before
+			// the source (D = n-1) can confirm.
+			adv := dynet.AdversaryFunc(func(r int, _ []dynet.Action) *graph.Graph {
+				if r == 3 {
+					return tc.bad
+				}
+				return graph.Ring(n)
+			})
+			run := func(fast bool) error {
+				e := &dynet.Engine{
+					Machines:          newFloodMachines(n, 2, 0),
+					Adv:               adv,
+					Workers:           1,
+					CheckConnectivity: true,
+				}
+				if fast {
+					_, ok, err := e.TryFloodFast(8, dynet.StopNode(0))
+					if !ok {
+						t.Fatal("fast path declined")
+					}
+					return err
+				}
+				e.Terminated = dynet.NodeDecided(0)
+				_, err := e.Run(8)
+				return err
 			}
-			return err
-		}
-		e.Terminated = dynet.NodeDecided(0)
-		_, err := e.Run(8)
-		return err
-	}
-	wantErr, gotErr := run(false), run(true)
-	if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
-		t.Fatalf("disconnected topology: message %v, fast %v", wantErr, gotErr)
+			wantErr, gotErr := run(false), run(true)
+			if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
+				t.Fatalf("message %v, fast %v", wantErr, gotErr)
+			}
+		})
 	}
 }
 

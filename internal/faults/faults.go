@@ -337,6 +337,20 @@ func (p *Plan) Delivery(r, from, to, nbits int) Delivery {
 	return d
 }
 
+// FlipPayloadBit flips bit of payload p in place, addressing bits the
+// way bitio lays them out (byte bit/8, bit bit%8 from the low end), and
+// reports whether the bit lay inside p. The engine's corrupted copies
+// and the wire's corrupted relay frames both flip through it, so the two
+// executions damage a payload identically.
+func FlipPayloadBit(p []byte, bit int) bool {
+	i := bit / 8
+	if i >= len(p) {
+		return false
+	}
+	p[i] ^= 1 << uint(bit%8)
+	return true
+}
+
 // CutEdge reports whether the undirected edge (u, v) of round r's topology
 // is removed. Pure function of (seed, r, min(u,v), max(u,v)).
 func (p *Plan) CutEdge(r, u, v int) bool {

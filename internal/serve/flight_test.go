@@ -225,7 +225,10 @@ func TestFlightRecorderUnknownKey(t *testing.T) {
 }
 
 func TestFlightRecorderCaptureSweepSpans(t *testing.T) {
-	t.Parallel()
+	// Not parallel: the harness's span capture is process-global, so a
+	// sweep run by a concurrent test (the golden test runs the same gap
+	// table directly) would land in this job's recording.
+	//
 	// The stub runs a real two-cell harness sweep so the capture window
 	// opened by captureSweepSpans has cells to record.
 	s, ts := newHTTPServer(t, Config{

@@ -364,11 +364,14 @@ func (s *Server) runJob(e *entry) {
 		e.status = StatusDone
 		e.body = body
 	}
-	close(e.done)
 	s.mu.Unlock()
-	// The terminal record is written after the status flip so the dumped
-	// metric snapshot reflects the finished job.
+	// The terminal record is written after the status flip, so the dumped
+	// metric snapshot reflects the finished job, and before done closes,
+	// so Wait and every reader behind it see the closing execute span and
+	// the snapshot. Drain waits on the worker, which returns only after
+	// this whole sequence.
 	s.recordTerminal(e, err != nil, sweepSpans)
+	close(e.done)
 }
 
 // execGuarded runs the executor in a guarded goroutine: panics become

@@ -24,8 +24,9 @@ type Config struct {
 	// socket-layer injection is part of the execution semantics, not an
 	// optional accessory.
 	Listener net.Listener
-	// Trace, Obs, Metrics mirror the Engine fields of the same names and
-	// receive byte-identical content under the equivalence guarantee.
+	// Trace, Obs, Metrics become the round driver's Engine fields of the
+	// same names and receive byte-identical content under the
+	// equivalence guarantee.
 	Trace   *dynet.Trace
 	Obs     obs.Sink
 	Metrics *obs.Registry
@@ -44,9 +45,11 @@ type Config struct {
 }
 
 // Run drives one distributed execution to completion and returns the
-// engine-equivalent Result. It mirrors dynet.Engine.Run phase for phase;
-// on model violations (budget, topology size, connectivity) it aborts
-// the cluster and returns the byte-identical engine error.
+// engine-equivalent Result. The coordinator is the remote executor of
+// the engine's round driver (dynet.Engine.Drive), so every model
+// decision runs through the same code as Engine.Run; on model violations
+// (budget, topology size, connectivity) it aborts the cluster and
+// returns the driver's error.
 func Run(cfg Config) (*dynet.Result, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
@@ -76,9 +79,16 @@ func Run(cfg Config) (*dynet.Result, error) {
 			ln = fl
 		}
 	}
-	co := newCoordinator(cfg, adv, ln, plan)
+	co := newCoordinator(cfg, ln)
 	defer co.close()
-	return co.run()
+	return co.run(&dynet.Engine{
+		Adv:               adv,
+		CheckConnectivity: cfg.Spec.CheckConnectivity,
+		Trace:             cfg.Trace,
+		Obs:               cfg.Obs,
+		Metrics:           cfg.Metrics,
+		Plan:              plan,
+	})
 }
 
 const (
@@ -109,14 +119,14 @@ type link struct {
 	everSeen  bool
 }
 
+// coordinator is the remote dynet.Executor: its Step and Deliver run
+// the round's frame exchanges and barriers against the node processes.
 type coordinator struct {
-	cfg       Config
-	spec      RunSpec
-	n, budget int
-	termNode  int
-	adv       dynet.Adversary
-	ln        net.Listener
-	observing bool
+	cfg      Config
+	spec     RunSpec
+	n        int
+	termNode int
+	ln       net.Listener
 
 	frames chan inFrame
 	conns  chan joined
@@ -125,26 +135,19 @@ type coordinator struct {
 	links     []link
 	joinReady []bool
 
-	fr  *dynet.FaultRunner
 	jit *rng.Source
 
-	actions     []dynet.Action
-	outgoing    []dynet.Message
-	inboxes     [][]dynet.Message
-	dist, queue []int32
-
 	// outputs and statusDec track each node's last reported (output,
-	// decided); decided tracks Decide-event emission, mirroring the
-	// engine's observing bookkeeping.
+	// decided).
 	outputs   []int64
 	statusDec []bool
-	decided   []bool
 
+	// rd is the driver's current round; ACT frames fill its commitments.
+	rd       *dynet.Round
 	phase    int
 	round    int
 	curActs  []bool
 	curStats []bool
-	curDown  []bool
 	curInbox [][]dynet.Message
 	statsGot []bool
 
@@ -157,21 +160,17 @@ type coordinator struct {
 	roundTimeout, retryBase time.Duration
 
 	cRetries, cDeadlineHits, cReconnects, cCRC *obs.Counter
-	sendersHist, bitsHist                      *obs.Histogram
 }
 
-func newCoordinator(cfg Config, adv dynet.Adversary, ln net.Listener, plan *faults.Plan) *coordinator {
+func newCoordinator(cfg Config, ln net.Listener) *coordinator {
 	n := cfg.Spec.N
 	termNode, _ := cfg.Spec.TermNode()
 	co := &coordinator{
-		cfg:       cfg,
-		spec:      cfg.Spec,
-		n:         n,
-		budget:    dynet.Budget(n),
-		termNode:  termNode,
-		adv:       adv,
-		ln:        ln,
-		observing: cfg.Obs != nil,
+		cfg:      cfg,
+		spec:     cfg.Spec,
+		n:        n,
+		termNode: termNode,
+		ln:       ln,
 
 		frames: make(chan inFrame, 8*n+16),
 		conns:  make(chan joined, 2*n+4),
@@ -180,16 +179,10 @@ func newCoordinator(cfg Config, adv dynet.Adversary, ln net.Listener, plan *faul
 		links:     make([]link, n),
 		joinReady: make([]bool, n),
 
-		fr:  dynet.NewFaultRunner(plan, cfg.Obs, cfg.Metrics, n),
 		jit: rng.New(cfg.Spec.Seed).Split('w', 'i', 'r', 'e'),
-
-		actions:  make([]dynet.Action, n),
-		outgoing: make([]dynet.Message, n),
-		inboxes:  make([][]dynet.Message, n),
 
 		outputs:   make([]int64, n),
 		statusDec: make([]bool, n),
-		decided:   make([]bool, n),
 
 		curActs:  make([]bool, n),
 		curStats: make([]bool, n),
@@ -204,9 +197,6 @@ func newCoordinator(cfg Config, adv dynet.Adversary, ln net.Listener, plan *faul
 		cDeadlineHits: cfg.Transport.Counter("wire_deadline_hits_total"),
 		cReconnects:   cfg.Transport.Counter("wire_reconnects_total"),
 		cCRC:          cfg.Transport.Counter("wire_coord_crc_rejects_total"),
-
-		sendersHist: cfg.Metrics.Histogram("engine_round_senders", dynet.RoundHistBounds),
-		bitsHist:    cfg.Metrics.Histogram("engine_round_bits", dynet.RoundHistBounds),
 	}
 	if co.maxRetries == 0 {
 		co.maxRetries = 8
@@ -216,10 +206,6 @@ func newCoordinator(cfg Config, adv dynet.Adversary, ln net.Listener, plan *faul
 	}
 	if co.retryBase == 0 {
 		co.retryBase = 25 * time.Millisecond
-	}
-	if cfg.Spec.CheckConnectivity {
-		co.dist = make([]int32, n)
-		co.queue = make([]int32, n)
 	}
 	return co
 }
@@ -234,182 +220,106 @@ func (co *coordinator) close() {
 	}
 }
 
-// run is the engine twin: same phases, same event order, same errors.
-func (co *coordinator) run() (*dynet.Result, error) {
+// run waits for every node to join, then drives the rounds through eng.
+// Any error — a model violation from the driver or a stalled barrier —
+// aborts the cluster.
+func (co *coordinator) run(eng *dynet.Engine) (*dynet.Result, error) {
 	go co.acceptLoop()
 	if err := co.waitAllJoined(); err != nil {
 		return nil, co.fail(err)
 	}
-	for v := 0; v < co.n; v++ {
-		co.decided[v] = co.statusDec[v]
-	}
-
-	maxRounds := co.spec.MaxRounds
-	res := &dynet.Result{Rounds: maxRounds}
-	for r := 1; r <= maxRounds; r++ {
-		co.round = r
-		if co.observing {
-			co.cfg.Obs.Emit(obs.Event{Kind: obs.KindRoundStart, Round: int32(r)})
-		}
-		co.curDown = nil
-		if co.fr != nil {
-			co.curDown = co.fr.BeginRound(r)
-		}
-
-		// Phase 1: STEP fan-out and ACT fan-in. Down nodes are frozen by
-		// the socket wrapper (their Step frames are swallowed, the crash
-		// transition hard-closes the connection); the coordinator commits
-		// a silent Receive for them, as the engine's step does.
-		co.phase = phaseActs
-		for v := 0; v < co.n; v++ {
-			co.curActs[v] = false
-			co.curStats[v] = false
-			if co.downNow(v) {
-				co.actions[v], co.outgoing[v] = dynet.Receive, dynet.Message{}
-				co.curActs[v] = true
-				co.curStats[v] = true
-			}
-		}
-		step := Frame{Type: FrameStep, Round: int32(r)}
-		for v := 0; v < co.n; v++ {
-			if co.links[v].connected {
-				co.writeTo(v, &step)
-			}
-		}
-		if err := co.await(r, co.allActs, co.pokeActs, "send/receive commitments"); err != nil {
-			return nil, co.fail(err)
-		}
-
-		// Budget scan, ascending: CONGEST enforced on the NBits that came
-		// off the socket, with the engine's exact error.
-		roundSenders, roundBits := 0, 0
-		for v := 0; v < co.n; v++ {
-			if co.actions[v] == dynet.Send {
-				if co.outgoing[v].NBits > co.budget {
-					return nil, co.fail(dynet.BudgetError(v, r, co.outgoing[v].NBits, co.budget))
-				}
-				roundSenders++
-				roundBits += co.outgoing[v].NBits
-				if co.observing {
-					co.cfg.Obs.Emit(obs.Event{Kind: obs.KindSend, Round: int32(r), Node: int32(v), A: int64(co.outgoing[v].NBits)})
-				}
-			}
-		}
-		res.Messages += roundSenders
-		res.Bits += roundBits
-		co.sendersHist.Observe(int64(roundSenders))
-		co.bitsHist.Observe(int64(roundBits))
-
-		// Phase 2: the adversary fixes the topology knowing the actions.
-		g := co.adv.Topology(r, co.actions)
-		if g == nil || g.N() != co.n {
-			return nil, co.fail(dynet.TopologySizeError(g, co.n))
-		}
-		if co.spec.CheckConnectivity && !g.ConnectedInto(co.dist, co.queue) {
-			return nil, co.fail(dynet.DisconnectedTopologyError(r))
-		}
-		if co.fr != nil && co.fr.HasEdgeFaults() {
-			g = co.fr.Perturb(r, g)
-		}
-
-		// Phase 3: inbox accounting. The coordinator assembles the same
-		// post-fault inboxes the engine would (fault events and counters
-		// included) — for the replay log and redelivery — while the live
-		// relays below carry the originals and take their faults on the
-		// wire. Plan purity keeps the two in exact agreement.
-		if co.fr != nil && co.fr.HasDeliveryOrNodeFaults() {
-			co.fr.Collect(r, g, co.actions, co.outgoing, co.inboxes)
-		} else {
-			dynet.CollectInboxes(g, co.actions, co.outgoing, co.inboxes)
-		}
-		co.snapshotInboxes()
-
-		// RELAY + DELIVER fan-out, receivers ascending, senders ascending
-		// within each receiver — the engine's collect order.
-		co.phase = phaseStatus
-		for v := 0; v < co.n; v++ {
-			if co.downNow(v) || !co.links[v].connected {
-				continue
-			}
-			if co.actions[v] == dynet.Receive {
-				for _, u := range g.Adj(v) {
-					if co.actions[u] != dynet.Send {
-						continue
-					}
-					relay := Frame{
-						Type: FrameRelay, Round: int32(r),
-						From: u, To: int32(v),
-						NBits:   int32(co.outgoing[u].NBits),
-						Payload: co.outgoing[u].Payload,
-					}
-					if !co.writeTo(v, &relay) {
-						break
-					}
-				}
-			}
-			co.writeTo(v, &Frame{Type: FrameDeliver, Round: int32(r)})
-		}
-		if err := co.await(r, co.allStats, co.pokeStatus, "round statuses"); err != nil {
-			return nil, co.fail(err)
-		}
-
-		if co.cfg.Trace != nil {
-			co.cfg.Trace.Record(r, g, co.actions, co.outgoing)
-		}
-		for v := 0; v < co.n; v++ {
-			if co.statusDec[v] && !co.decided[v] {
-				co.decided[v] = true
-				if co.observing {
-					co.cfg.Obs.Emit(obs.Event{Kind: obs.KindDecide, Round: int32(r), Node: int32(v), A: co.outputs[v]})
-				}
-			}
-		}
-		if co.observing {
-			co.cfg.Obs.Emit(obs.Event{Kind: obs.KindRoundEnd, Round: int32(r), A: int64(roundSenders), B: int64(roundBits)})
-		}
-
-		co.finalizeRound()
-		co.phase = phaseIdle
-		if co.terminated() {
-			res.Rounds = r
-			res.Done = true
-			break
-		}
-	}
-
-	res.Outputs = append([]int64(nil), co.outputs...)
-	res.Decided = append([]bool(nil), co.statusDec...)
-	if !res.Done && maxRounds < 1 {
-		res.Done = co.terminated()
-	}
-	if co.cfg.Metrics != nil {
-		co.cfg.Metrics.Counter("engine_rounds_total").Add(int64(res.Rounds))
-		co.cfg.Metrics.Counter("engine_messages_total").Add(int64(res.Messages))
-		co.cfg.Metrics.Counter("engine_bits_total").Add(int64(res.Bits))
+	res, err := eng.Drive(co, co.n, co.spec.MaxRounds)
+	if err != nil {
+		return nil, co.fail(err)
 	}
 	co.finish()
 	return res, nil
 }
 
-func (co *coordinator) downNow(v int) bool { return co.curDown != nil && co.curDown[v] }
+// Step is the commitment half of a round: STEP fan-out and the ACT
+// barrier. Down nodes are frozen by the socket wrapper (their Step frames
+// are swallowed, the crash transition hard-closes the connection); the
+// coordinator commits a silent Receive for them, as the engine's step
+// does.
+func (co *coordinator) Step(rd *dynet.Round) error {
+	co.rd, co.round, co.phase = rd, rd.R, phaseActs
+	for v := 0; v < co.n; v++ {
+		down := co.downNow(v)
+		co.curActs[v], co.curStats[v] = down, down
+		if down {
+			rd.Actions[v], rd.Outgoing[v] = dynet.Receive, dynet.Message{}
+		}
+	}
+	step := Frame{Type: FrameStep, Round: int32(rd.R)}
+	for v := 0; v < co.n; v++ {
+		if co.links[v].connected {
+			co.writeTo(v, &step)
+		}
+	}
+	return co.await(rd.R, func() bool { return allSet(co.curActs) }, co.pokeActs, "send/receive commitments")
+}
 
-func (co *coordinator) terminated() bool {
+// Deliver is the delivery half of a round. The driver has assembled the
+// post-fault inboxes (fault events and counters included); the
+// coordinator snapshots them for the replay log and redelivery, while the
+// live relays carry the originals and take their faults on the wire.
+// Plan purity keeps the two in exact agreement.
+func (co *coordinator) Deliver(rd *dynet.Round) error {
+	co.snapshotInboxes(rd.Inboxes)
+
+	// RELAY + DELIVER fan-out, receivers ascending, senders ascending
+	// within each receiver — the engine's collect order.
+	co.phase = phaseStatus
+	for v := 0; v < co.n; v++ {
+		if co.downNow(v) || !co.links[v].connected {
+			continue
+		}
+		if rd.Actions[v] == dynet.Receive {
+			for _, u := range rd.Topology.Adj(v) {
+				if rd.Actions[u] != dynet.Send {
+					continue
+				}
+				relay := Frame{
+					Type: FrameRelay, Round: int32(rd.R),
+					From: u, To: int32(v),
+					NBits:   int32(rd.Outgoing[u].NBits),
+					Payload: rd.Outgoing[u].Payload,
+				}
+				if !co.writeTo(v, &relay) {
+					break
+				}
+			}
+		}
+		co.writeTo(v, &Frame{Type: FrameDeliver, Round: int32(rd.R)})
+	}
+	if err := co.await(rd.R, func() bool { return allSet(co.curStats) }, co.pokeStatus, "round statuses"); err != nil {
+		return err
+	}
+	co.finalizeRound()
+	co.phase = phaseIdle
+	return nil
+}
+
+// Output reports node v's last reported output.
+func (co *coordinator) Output(v int) (int64, bool) { return co.outputs[v], co.statusDec[v] }
+
+func (co *coordinator) downNow(v int) bool {
+	return co.rd != nil && co.rd.Down != nil && co.rd.Down[v]
+}
+
+// Terminated is the spec's termination predicate over reported statuses.
+func (co *coordinator) Terminated() bool {
 	if co.termNode >= 0 {
 		return co.statusDec[co.termNode]
 	}
-	for _, d := range co.statusDec {
-		if !d {
-			return false
-		}
-	}
-	return true
+	return allSet(co.statusDec)
 }
 
 // finalizeRound snapshots the round into the replay log.
 func (co *coordinator) finalizeRound() {
 	var down []bool
-	if co.curDown != nil {
-		down = append([]bool(nil), co.curDown...)
+	if co.rd.Down != nil {
+		down = append([]bool(nil), co.rd.Down...)
 	}
 	co.logDown = append(co.logDown, down)
 	inboxes := make([][]dynet.Message, co.n)
@@ -417,12 +327,12 @@ func (co *coordinator) finalizeRound() {
 	co.logInbox = append(co.logInbox, inboxes)
 }
 
-// snapshotInboxes deep-copies the post-fault inboxes: the engine reuses
+// snapshotInboxes deep-copies the post-fault inboxes: the driver reuses
 // its inbox arenas every round, but the replay log and mid-round
 // redelivery need round-r's contents to survive round r+1.
-func (co *coordinator) snapshotInboxes() {
+func (co *coordinator) snapshotInboxes(inboxes [][]dynet.Message) {
 	for v := 0; v < co.n; v++ {
-		src := co.inboxes[v]
+		src := inboxes[v]
 		if len(src) == 0 {
 			co.curInbox[v] = nil
 			continue
@@ -435,36 +345,11 @@ func (co *coordinator) snapshotInboxes() {
 	}
 }
 
-func (co *coordinator) allActs() bool {
-	for v := 0; v < co.n; v++ {
-		if !co.curActs[v] {
-			return false
-		}
-	}
-	return true
-}
-
-func (co *coordinator) allStats() bool {
-	for v := 0; v < co.n; v++ {
-		if !co.curStats[v] {
-			return false
-		}
-	}
-	return true
-}
-
-func (co *coordinator) allJoined() bool {
-	for v := 0; v < co.n; v++ {
-		if !co.joinReady[v] {
-			return false
-		}
-	}
-	return true
-}
-
-func (co *coordinator) allStatsFrames() bool {
-	for v := 0; v < co.n; v++ {
-		if co.links[v].connected && !co.statsGot[v] {
+// allSet reports whether every flag is set: the condition of each
+// barrier over a per-node flag slice.
+func allSet(flags []bool) bool {
+	for _, f := range flags {
+		if !f {
 			return false
 		}
 	}
@@ -514,7 +399,7 @@ func (co *coordinator) redoRoundTail(v int) {
 
 // waitAllJoined blocks until every node has completed its handshake.
 func (co *coordinator) waitAllJoined() error {
-	return co.await(0, co.allJoined, func() {}, "node handshakes")
+	return co.await(0, func() bool { return allSet(co.joinReady) }, func() {}, "node handshakes")
 }
 
 // await pumps events until cond holds, with per-attempt deadlines,
@@ -647,11 +532,11 @@ func (co *coordinator) handleFrame(ev inFrame) {
 		}
 		co.curActs[v] = true
 		if f.Flags&FlagSend != 0 {
-			co.actions[v] = dynet.Send
-			co.outgoing[v] = dynet.Message{From: v, Payload: f.Payload, NBits: int(f.NBits)}
+			co.rd.Actions[v] = dynet.Send
+			co.rd.Outgoing[v] = dynet.Message{From: v, Payload: f.Payload, NBits: int(f.NBits)}
 		} else {
-			co.actions[v] = dynet.Receive
-			co.outgoing[v] = dynet.Message{From: v}
+			co.rd.Actions[v] = dynet.Receive
+			co.rd.Outgoing[v] = dynet.Message{From: v}
 		}
 	case FrameStatus:
 		if int(f.Round) != co.round || co.phase != phaseStatus || co.curStats[v] {
@@ -715,8 +600,8 @@ func (co *coordinator) markDead(v int) {
 	}
 }
 
-// fail aborts the cluster with the model error and returns it — the
-// distributed twin of the engine's error return.
+// fail aborts the cluster with the run's error and returns it, so every
+// node process fails with the same text as the coordinator.
 func (co *coordinator) fail(err error) error {
 	abort := Frame{Type: FrameAbort, Payload: []byte(err.Error())}
 	for v := 0; v < co.n; v++ {
@@ -728,7 +613,11 @@ func (co *coordinator) fail(err error) error {
 }
 
 // finish ends the run: FINISH fan-out, best-effort STATS fan-in (folded
-// into the transport registry), tolerant of nodes that already left.
+// into the transport registry). A node that is between connections —
+// say, hard-closed by a crash in the final round and still redialing —
+// is waited for: its rejoin resyncs it to FINISH, so it learns the run
+// is over instead of finding the listener closed. A node that never
+// comes back costs the retry budget, not an error.
 func (co *coordinator) finish() {
 	co.phase = phaseStats
 	fin := Frame{Type: FrameFinish}
@@ -739,7 +628,7 @@ func (co *coordinator) finish() {
 	}
 	// Stats are observability, not model state: exhaust the retry budget,
 	// then proceed without error.
-	co.await(co.round, co.allStatsFrames, func() {
+	co.await(co.round, func() bool { return allSet(co.statsGot) }, func() {
 		fin := Frame{Type: FrameFinish}
 		for v := 0; v < co.n; v++ {
 			if co.links[v].connected && !co.statsGot[v] {

@@ -23,14 +23,18 @@ import (
 //     swallowed for as long as the plan keeps it down.
 //
 // Each connection compiles its own Plan from the shared Spec, so every
-// decision is a pure function of (seed, round, node, edge) — the
-// coordinator's accounting twin (dynet.FaultRunner) reaches the same
-// verdicts without any channel between them, which is what keeps the
-// distributed run byte-equivalent to Engine.Run.
+// decision is a pure function of (seed, round, node, edge): the round
+// driver's fault layer, which the coordinator runs for accounting and
+// the replay log, reaches the same verdicts without any channel between
+// them, which is what keeps the distributed run byte-equivalent to
+// Engine.Run.
 type FaultListener struct {
 	net.Listener
-	spec      faults.Spec
-	transport *obs.Registry
+	spec faults.Spec
+	// The wire_fault_* counters, shared by every accepted connection,
+	// are resolved here once: Accept runs on the accept goroutine, and a
+	// Registry is single-goroutine, so Accept must not look names up.
+	cDrops, cCorrupts, cDups, cCloses *obs.Counter
 }
 
 // NewFaultListener validates the spec and wraps ln. The transport
@@ -39,7 +43,14 @@ func NewFaultListener(ln net.Listener, spec faults.Spec, transport *obs.Registry
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return &FaultListener{Listener: ln, spec: spec, transport: transport}, nil
+	return &FaultListener{
+		Listener:  ln,
+		spec:      spec,
+		cDrops:    transport.Counter("wire_fault_drops_total"),
+		cCorrupts: transport.Counter("wire_fault_corrupts_total"),
+		cDups:     transport.Counter("wire_fault_dups_total"),
+		cCloses:   transport.Counter("wire_fault_crash_closes_total"),
+	}, nil
 }
 
 // Accept wraps the next connection in a *FaultConn.
@@ -57,10 +68,10 @@ func (l *FaultListener) Accept() (net.Conn, error) {
 		Conn:      c,
 		plan:      plan,
 		node:      -1,
-		cDrops:    l.transport.Counter("wire_fault_drops_total"),
-		cCorrupts: l.transport.Counter("wire_fault_corrupts_total"),
-		cDups:     l.transport.Counter("wire_fault_dups_total"),
-		cCloses:   l.transport.Counter("wire_fault_crash_closes_total"),
+		cDrops:    l.cDrops,
+		cCorrupts: l.cCorrupts,
+		cDups:     l.cDups,
+		cCloses:   l.cCloses,
 	}, nil
 }
 
@@ -152,14 +163,10 @@ func (c *FaultConn) inject(rec []byte) error {
 		c.cDrops.Add(1)
 		return nil
 	}
-	if d.FlipBit >= 0 {
-		// Flip the same payload bit the engine's corruptCopy would,
-		// leaving the trailing CRC stale so the receiver detects it.
-		payload := rec[4+frameHeaderLen : len(rec)-4]
-		if byteIdx := d.FlipBit / 8; byteIdx < len(payload) {
-			payload[byteIdx] ^= 1 << uint(d.FlipBit%8)
-			c.cCorrupts.Add(1)
-		}
+	// Flip the payload bit the engine's corrupted copy flips, leaving the
+	// trailing CRC stale so the receiver detects it.
+	if d.FlipBit >= 0 && faults.FlipPayloadBit(rec[4+frameHeaderLen:len(rec)-4], d.FlipBit) {
+		c.cCorrupts.Add(1)
 	}
 	if err := c.forward(rec); err != nil {
 		return err

@@ -283,7 +283,7 @@ func (ns *nodeState) handleDeliver(conn net.Conn, f Frame) {
 			// sort with the engine's stable pass anyway — identical no-op on
 			// sorted input, and it keeps delivery order a shared invariant
 			// rather than a transport accident.
-			dynet.SortMessagesByFrom(ns.inbox)
+			dynet.SortByFrom(ns.inbox)
 			ns.m.Deliver(r, ns.inbox)
 		}
 		ns.lastDelivered = r

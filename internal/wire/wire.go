@@ -6,22 +6,24 @@
 // (seeds, adversary, fault spec), a distributed execution produces
 // byte-identical per-round traces, per-node outputs, message/bit totals,
 // obs event streams, and error texts as dynet.Engine.Run. The guarantee
-// is structural, not aspirational — the coordinator reuses the engine's
-// own exported round machinery (dynet wire hooks: error constructors,
-// inbox assembly, FaultRunner, trace recording), and every wire-level
-// fault decision is a pure function of (seed, round, node, edge) through
-// internal/faults, so the fault-wrapping socket layer and the
-// coordinator's accounting cannot disagree. RunInProcess and Diff turn
-// the contract into a golden differential test.
+// is structural, not aspirational — the coordinator is a dynet.Executor
+// run by the engine's own round driver (dynet.Engine.Drive), the same
+// loop Engine.Run drives its in-process machines with, and every
+// wire-level fault decision is a pure function of (seed, round, node,
+// edge) through internal/faults, so the fault-wrapping socket layer and
+// the driver's fault accounting cannot disagree. RunInProcess and Diff
+// turn the contract into a golden differential test.
 //
 // Topology: N node processes (RunNode) dial one coordinator (Run). The
-// coordinator owns the adversary, CONGEST budget enforcement (validated
-// on ACT frames as they arrive off the socket), connectivity checking,
-// fault accounting, tracing, metrics, and termination; node processes own
-// only their Machine. Each round is four frame exchanges: STEP fan-out,
-// ACT fan-in (the send/receive commitments), RELAY+DELIVER fan-out (each
-// receiver's inbox, faulted on the wire by the FaultListener wrapper),
-// and STATUS fan-in (outputs/decided).
+// driver, in the coordinator's process, owns the adversary, CONGEST
+// budget enforcement (on the NBits of ACT frames as they arrive off the
+// socket), connectivity checking, fault accounting, tracing, metrics,
+// and termination; the coordinator owns the frame exchanges and
+// barriers; node processes own only their Machine. Each round is four
+// frame exchanges: STEP fan-out, ACT fan-in (the send/receive
+// commitments), RELAY+DELIVER fan-out (each receiver's inbox, faulted on
+// the wire by the FaultListener wrapper), and STATUS fan-in
+// (outputs/decided).
 //
 // Robustness: frames are length-prefixed with CRC-checked records; the
 // transport runs per-round deadlines, bounded retry with exponential
@@ -74,7 +76,7 @@ type RunSpec struct {
 	// Extra carries protocol parameters (diameter bound, N', ...).
 	Extra map[string]int64 `json:"extra,omitempty"`
 	// Fault is the injected fault mix, applied at the socket layer by the
-	// FaultListener and mirrored by the coordinator's accounting.
+	// FaultListener and accounted by the round driver's fault layer.
 	Fault faults.Spec `json:"fault"`
 }
 
