@@ -102,6 +102,19 @@ func buildHandler(api http.Handler, withPprof bool) http.Handler {
 	return mux
 }
 
+// Client read timeouts: a client that trickles its request headers or
+// body cannot hold a connection open for longer than these.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+)
+
+// newHTTPServer builds the listener-side server around h with the client
+// read timeouts set. Request bodies are capped by the service handler.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dynserve: ")
@@ -131,7 +144,7 @@ func main() {
 		}
 	}
 
-	httpSrv := &http.Server{Addr: opts.addr, Handler: buildHandler(srv.Handler(), opts.pprof)}
+	httpSrv := newHTTPServer(opts.addr, buildHandler(srv.Handler(), opts.pprof))
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.ListenAndServe() }()
 	log.Printf("serving experiments on %s (workers=%d queue=%d pprof=%v)", opts.addr, opts.workers, opts.queueCap, opts.pprof)

@@ -92,6 +92,13 @@ func TestBuildHandlerPprof(t *testing.T) {
 	}
 }
 
+func TestHTTPServerTimeouts(t *testing.T) {
+	s := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if s.ReadHeaderTimeout <= 0 || s.ReadTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout %v, ReadTimeout %v: both must be set", s.ReadHeaderTimeout, s.ReadTimeout)
+	}
+}
+
 func TestParseOptionsRejects(t *testing.T) {
 	for _, args := range [][]string{
 		{"-workers", "zebra"},

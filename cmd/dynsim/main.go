@@ -156,12 +156,19 @@ func main() {
 	}
 
 	var res *dyndiam.Result
+	var fastPath string // -floodfast only: "engaged" or why it declined
 	if *floodFast {
 		if *proto != "cflood" && *proto != "pflood" {
 			log.Fatalf("-floodfast requires -proto cflood or pflood, got %q", *proto)
 		}
 		if *traceOut != "" {
 			log.Fatal("-floodfast is incompatible with -trace-out (a Trace forces the per-message path)")
+		}
+		// Ask before the run: afterwards the machines have confirmed.
+		if why := eng.FloodFastDecline(*maxRounds, dyndiam.FloodStopNode(0)); why != "" {
+			fastPath = "declined: " + string(why)
+		} else {
+			fastPath = "engaged"
 		}
 		res, err = eng.RunFlood(*maxRounds, dyndiam.FloodStopNode(0))
 	} else {
@@ -214,6 +221,9 @@ func main() {
 	fmt.Printf("protocol      %s\n", p.Name())
 	fmt.Printf("nodes         %d\n", *n)
 	fmt.Printf("adversary     %s\n", *advName)
+	if fastPath != "" {
+		fmt.Printf("fast path     %s\n", fastPath)
+	}
 	fmt.Printf("terminated    %v (round %d)\n", res.Done, res.Rounds)
 	fmt.Printf("messages      %d\n", res.Messages)
 	fmt.Printf("payload bits  %d\n", res.Bits)

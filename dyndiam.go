@@ -100,6 +100,9 @@ type (
 	EdgeDiff = dynet.EdgeDiff
 	// DeltaAdversary describes rounds as edge diffs against a snapshot.
 	DeltaAdversary = dynet.DeltaAdversary
+	// FloodDecline names why the fast path declined ("" = it engaged);
+	// Engine.FloodFastDecline reports it before a run.
+	FloodDecline = dynet.FloodDecline
 )
 
 // FloodStopNode stops a flood run once node v can output; FloodStopAll

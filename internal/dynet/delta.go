@@ -79,7 +79,8 @@ func DiffGraphs(prev, next *graph.Graph, d *EdgeDiff) {
 // execution: either Topology(r, actions) for every round r = 1, 2, ...
 // (the message-passing engine), or Topology(1, actions) once for the base
 // graph followed by Diff(r, actions, d) for r = 2, 3, ... in order (the
-// flood fast path, which applies each script to its own snapshot).
+// flood fast path, which applies each script to its own snapshot for as
+// long as anything reads that snapshot).
 // Implementations must make both patterns produce identical topology
 // sequences — the differential tests hold them to it.
 type DeltaAdversary interface {

@@ -202,6 +202,10 @@ func newTopoCheck(n int, connectivity bool) topoCheck {
 	return c
 }
 
+// connectivity reports whether validate checks connectivity, and so reads
+// the topology's adjacency.
+func (c *topoCheck) connectivity() bool { return c.dist != nil }
+
 // validate returns the model error for round r's topology g, or nil.
 func (c *topoCheck) validate(r int, g *graph.Graph) error {
 	if g == nil || g.N() != c.n {

@@ -101,6 +101,90 @@ func (e *Engine) RunFlood(maxRounds int, stop FloodStop) (*Result, error) {
 	return e.Run(maxRounds)
 }
 
+// FloodDecline names why TryFloodFast declined the word-packed fast path.
+// The empty value, FloodEngaged, means it did not decline. Each reason
+// has its own registry counter, engine_floodfast_declined_<reason>_total.
+type FloodDecline string
+
+const (
+	FloodEngaged FloodDecline = ""
+	// DeclineTrace: a Trace is attached; it records individual messages.
+	DeclineTrace FloodDecline = "trace"
+	// DeclineFaultPlan: an enabled fault Plan perturbs individual
+	// deliveries.
+	DeclineFaultPlan FloodDecline = "fault_plan"
+	// DeclineNotBitFlooder: some machine does not implement BitFlooder.
+	DeclineNotBitFlooder FloodDecline = "not_bitflooder"
+	// DeclineSpecMismatch: the machines' FloodSpecs disagree on (Source,
+	// D) or on the token, or a machine has already confirmed.
+	DeclineSpecMismatch FloodDecline = "spec_mismatch"
+	// DeclineSourceUninformed: the agreed source is out of range or does
+	// not hold the token.
+	DeclineSourceUninformed FloodDecline = "source_uninformed"
+	// DeclineStopOutOfRange: the run has no machines or no rounds, or its
+	// stop node is outside [0, N).
+	DeclineStopOutOfRange FloodDecline = "stop_out_of_range"
+)
+
+// FloodFastDecline reports why TryFloodFast(maxRounds, stop) would decline
+// the fast path on e as it stands, or FloodEngaged. It runs nothing.
+func (e *Engine) FloodFastDecline(maxRounds int, stop FloodStop) FloodDecline {
+	_, why := e.planFloodFast(maxRounds, stop)
+	return why
+}
+
+// floodPlan is what the fast path's qualifying scan learns about a run.
+type floodPlan struct {
+	src, d        int
+	token         int64
+	tokenBits     int
+	firstInformed int            // lowest informed node; -1 if none
+	seed          bitkernel.Bits // the informed set before round 1
+}
+
+// planFloodFast is the fast path's qualifying scan: it returns the run's
+// flood plan, or the first reason it found to decline.
+func (e *Engine) planFloodFast(maxRounds int, stop FloodStop) (floodPlan, FloodDecline) {
+	p := floodPlan{firstInformed: -1}
+	n := len(e.Machines)
+	switch {
+	case e.Trace != nil:
+		return p, DeclineTrace
+	case e.Plan.Enabled():
+		return p, DeclineFaultPlan
+	case n == 0 || maxRounds < 1 || !stop.all && (stop.node < 0 || stop.node >= n):
+		return p, DeclineStopOutOfRange
+	}
+	p.seed = bitkernel.New(n) //lint:allow hotpathalloc setup phase, before the kernel loop
+	for v, m := range e.Machines {
+		bf, ok := m.(BitFlooder)
+		if !ok {
+			return p, DeclineNotBitFlooder
+		}
+		s := bf.FloodSpec() //lint:allow hotpathalloc machines own their spec-encoding allocation budget (pinned by AllocsPerRun tests)
+		if v == 0 {
+			p.src, p.d = s.Source, s.D
+		} else if s.Source != p.src || s.D != p.d {
+			return p, DeclineSpecMismatch
+		}
+		if s.Done {
+			return p, DeclineSpecMismatch
+		}
+		if s.Informed {
+			if p.firstInformed < 0 {
+				p.token, p.tokenBits, p.firstInformed = s.Token, s.TokenBits, v
+			} else if s.Token != p.token || s.TokenBits != p.tokenBits {
+				return p, DeclineSpecMismatch
+			}
+			p.seed.Set(v)
+		}
+	}
+	if p.src < 0 || p.src >= n || !p.seed.Test(p.src) {
+		return p, DeclineSourceUninformed
+	}
+	return p, FloodEngaged
+}
+
 // TryFloodFast attempts the word-packed flood fast path. ok reports
 // whether the fast path engaged; when false, result and error are nil and
 // the caller should fall back to Run. The fast path engages when:
@@ -119,70 +203,37 @@ func (e *Engine) RunFlood(maxRounds int, stop FloodStop) (*Result, error) {
 //     of the word-packed kernel;
 //   - maxRounds >= 1 and the stop node is in range.
 //
+// When it declines, the reason's engine_floodfast_declined_*_total
+// counter in Metrics goes up by one; FloodFastDecline names the reason.
 // Workers is ignored: the fast path is sequential, and sequential and
 // parallel message-path execution are bit-identical anyway.
 //
 //lint:hotpath
 func (e *Engine) TryFloodFast(maxRounds int, stop FloodStop) (*Result, bool, error) {
+	p, why := e.planFloodFast(maxRounds, stop)
+	if why != FloodEngaged {
+		if e.Metrics != nil {
+			e.Metrics.Counter("engine_floodfast_declined_" + string(why) + "_total").Add(1) //lint:allow hotpathalloc decline path: the caller runs the message path next
+		}
+		return nil, false, nil
+	}
 	n := len(e.Machines)
-	if n == 0 || maxRounds < 1 || e.Trace != nil || e.Plan.Enabled() {
-		return nil, false, nil
-	}
-	if !stop.all && (stop.node < 0 || stop.node >= n) {
-		return nil, false, nil
-	}
-	var (
-		src, d    int
-		token     int64
-		tokenBits int
-		haveTok   bool
-	)
-	seed := bitkernel.New(n) //lint:allow hotpathalloc setup phase, before the kernel loop
-	firstInformed := -1
-	for v, m := range e.Machines {
-		bf, ok := m.(BitFlooder)
-		if !ok {
-			return nil, false, nil
-		}
-		s := bf.FloodSpec() //lint:allow hotpathalloc machines own their spec-encoding allocation budget (pinned by AllocsPerRun tests)
-		if v == 0 {
-			src, d = s.Source, s.D
-		} else if s.Source != src || s.D != d {
-			return nil, false, nil
-		}
-		if s.Done {
-			return nil, false, nil
-		}
-		if s.Informed {
-			if !haveTok {
-				token, tokenBits, haveTok = s.Token, s.TokenBits, true
-				firstInformed = v
-			} else if s.Token != token || s.TokenBits != tokenBits {
-				return nil, false, nil
-			}
-			seed.Set(v)
-		}
-	}
-	if src < 0 || src >= n || !seed.Test(src) {
-		return nil, false, nil
-	}
-
 	budget := e.Budget
 	if budget == 0 {
 		budget = Budget(n)
 	}
 	sendersHist, bitsHist := roundHists(e.Metrics) //lint:allow hotpathalloc setup-phase registry lookup, amortized across the run
-	if tokenBits > budget {
+	if p.tokenBits > budget {
 		// Run would reject the lowest-id sender in round 1, before
 		// consulting the adversary; every sender carries the same
 		// constant token, so round 1 decides.
-		return nil, true, budgetError(firstInformed, 1, tokenBits, budget) //lint:allow hotpathalloc error path terminates the run
+		return nil, true, budgetError(p.firstInformed, 1, p.tokenBits, budget) //lint:allow hotpathalloc error path terminates the run
 	}
 
 	topo := newFloodTopo(e, n) //lint:allow hotpathalloc setup phase: the topology adapter preallocates its round buffers
 	cfg := bitkernel.FloodConfig{
-		N: n, Source: src, D: d, TokenBits: tokenBits,
-		StopAll: stop.all, StopNode: stop.node, Seed: seed,
+		N: n, Source: p.src, D: p.d, TokenBits: p.tokenBits,
+		StopAll: stop.all, StopNode: stop.node, Seed: p.seed,
 	}
 	if e.Metrics != nil {
 		cfg.OnRound = func(_, senders, payloadBits int) { //lint:allow hotpathalloc setup-phase closure construction; the body is allocation-free
@@ -215,7 +266,7 @@ func (e *Engine) TryFloodFast(maxRounds int, stop FloodStop) (*Result, bool, err
 			}
 		}
 	}
-	runSpan := obs.BeginSpan(e.Obs, keyFloodFast, 0, int32(src), 0, int64(n))
+	runSpan := obs.BeginSpan(e.Obs, keyFloodFast, 0, int32(p.src), 0, int64(n))
 	var fe bitkernel.FloodEngine
 	fres, err := fe.Run(cfg, topo, maxRounds)
 	if err != nil {
@@ -233,16 +284,23 @@ func (e *Engine) TryFloodFast(maxRounds int, stop FloodStop) (*Result, bool, err
 	}
 	for v, m := range e.Machines {
 		bf := m.(BitFlooder)
-		bf.SyncFlood(fres.Informed.Test(v), token, fres.Rounds)
+		bf.SyncFlood(fres.Informed.Test(v), p.token, fres.Rounds)
 		res.Outputs[v], res.Decided[v] = m.Output()
 	}
-	flushTotals(e.Metrics, res) //lint:allow hotpathalloc post-kernel metrics flush
-	if e.Metrics != nil {
-		e.Metrics.Counter("engine_floodfast_runs_total").Add(1)                       //lint:allow hotpathalloc post-kernel metrics flush
-		e.Metrics.Counter("engine_floodfast_diff_ops_total").Add(int64(topo.diffOps)) //lint:allow hotpathalloc post-kernel metrics flush
-	}
+	flushFloodFast(e.Metrics, res, topo.diffOps) //lint:allow hotpathalloc post-kernel metrics flush
 	runSpan.End(int32(fres.Rounds), int64(fres.InformedCount))
 	return res, true, nil
+}
+
+// flushFloodFast writes a fast-path run's totals: the message path's
+// counters, then the fast path's own.
+func flushFloodFast(reg *obs.Registry, res *Result, diffOps int) {
+	if reg == nil {
+		return
+	}
+	flushTotals(reg, res)
+	reg.Counter("engine_floodfast_runs_total").Add(1)
+	reg.Counter("engine_floodfast_diff_ops_total").Add(int64(diffOps))
 }
 
 // floodTopo adapts the engine's Adversary to bitkernel.Topologies: it
@@ -251,12 +309,19 @@ func (e *Engine) TryFloodFast(maxRounds int, stop FloodStop) (*Result, bool, err
 // and — when the adversary is a DeltaAdversary — maintains one
 // mutable CSR snapshot that each round's edge-diff script mutates in
 // place instead of materializing a fresh graph.
+//
+// Once every node is informed at the start of a round, the kernel no
+// longer reads adjacency, and without a connectivity check neither does
+// the validator (it only checks the size). From then on the scripts are
+// still requested, so adaptive adversaries, diff_ops samples and
+// engine_floodfast_diff_ops_total stay exact, but not applied to snap.
 type floodTopo struct {
 	adv      Adversary
 	delta    DeltaAdversary // non-nil when adv implements it
 	n        int
 	actions  []Action
 	prev     bitkernel.Bits // informed snapshot behind actions
+	informed int            // popcount of prev
 	snap     *graph.Graph   // delta path's mutable round topology
 	diff     EdgeDiff
 	diffOps  int
@@ -291,6 +356,7 @@ func (t *floodTopo) Round(r int, informed bitkernel.Bits) (*graph.Graph, error) 
 			v := wi<<6 + bits.TrailingZeros64(changed)
 			changed &= changed - 1
 			t.actions[v] = Send
+			t.informed++
 		}
 		t.prev[wi] = w
 	}
@@ -300,7 +366,9 @@ func (t *floodTopo) Round(r int, informed bitkernel.Bits) (*graph.Graph, error) 
 		t.delta.Diff(r, t.actions, &t.diff) //lint:allow hotpathalloc adversaries own their per-round script allocation budget
 		t.lastDiff = t.diff.Len()
 		t.diffOps += t.lastDiff
-		t.diff.Apply(t.snap)
+		if t.informed < t.n || t.check.connectivity() {
+			t.diff.Apply(t.snap)
+		}
 		g = t.snap
 	} else {
 		t.lastDiff = 0

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dyndiam/internal/dynet"
+	"dyndiam/internal/faults"
 	"dyndiam/internal/graph"
 	"dyndiam/internal/obs"
 	"dyndiam/internal/protocols/flood"
@@ -222,40 +223,96 @@ func TestFloodFastBudgetError(t *testing.T) {
 	}
 }
 
+// specFlooder is a BitFlooder whose FloodSpec is set by the test.
+type specFlooder struct {
+	dynet.Machine
+	spec dynet.FloodSpec
+}
+
+func (f *specFlooder) FloodSpec() dynet.FloodSpec { return f.spec }
+func (f *specFlooder) SyncFlood(bool, int64, int) {}
+
+// TestFloodFastDeclines pins every reason the fast path declines for: it
+// declines cleanly, FloodFastDecline names the reason beforehand, and the
+// reason's counter, and no other, goes up by one.
 func TestFloodFastDeclines(t *testing.T) {
 	n := 6
+	plan, err := faults.NewPlan(faults.Spec{Seed: 1, Drop: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	mk := func() *dynet.Engine {
 		return &dynet.Engine{
 			Machines: newFloodMachines(n, 5, 0),
 			Adv:      randomAdversary(n, 1, 5),
 			Workers:  1,
+			Metrics:  obs.NewRegistry(),
 		}
+	}
+	// respec replaces node v's spec, keeping the rest of node 0's.
+	respec := func(e *dynet.Engine, v int, edit func(*dynet.FloodSpec)) {
+		s := e.Machines[0].(dynet.BitFlooder).FloodSpec()
+		edit(&s)
+		e.Machines[v] = &specFlooder{Machine: e.Machines[v], spec: s}
 	}
 	cases := []struct {
 		name string
+		want dynet.FloodDecline
 		mut  func(e *dynet.Engine) (maxRounds int, stop dynet.FloodStop)
 	}{
-		{"trace", func(e *dynet.Engine) (int, dynet.FloodStop) {
+		{"trace", dynet.DeclineTrace, func(e *dynet.Engine) (int, dynet.FloodStop) {
 			e.Trace = &dynet.Trace{}
 			return 2 * n, dynet.StopNode(0)
 		}},
-		{"zero rounds", func(e *dynet.Engine) (int, dynet.FloodStop) {
+		{"fault plan", dynet.DeclineFaultPlan, func(e *dynet.Engine) (int, dynet.FloodStop) {
+			e.Plan = plan
+			return 2 * n, dynet.StopNode(0)
+		}},
+		{"zero rounds", dynet.DeclineStopOutOfRange, func(e *dynet.Engine) (int, dynet.FloodStop) {
 			return 0, dynet.StopNode(0)
 		}},
-		{"stop node out of range", func(e *dynet.Engine) (int, dynet.FloodStop) {
+		{"stop node out of range", dynet.DeclineStopOutOfRange, func(e *dynet.Engine) (int, dynet.FloodStop) {
 			return 2 * n, dynet.StopNode(n)
 		}},
-		{"non-flooder machine", func(e *dynet.Engine) (int, dynet.FloodStop) {
+		{"non-flooder machine", dynet.DeclineNotBitFlooder, func(e *dynet.Engine) (int, dynet.FloodStop) {
 			e.Machines = dynet.NewMachines(flood.PFlood{}, n, make([]int64, n), 5, nil)
+			return 2 * n, dynet.StopNode(0)
+		}},
+		{"diameter bounds disagree", dynet.DeclineSpecMismatch, func(e *dynet.Engine) (int, dynet.FloodStop) {
+			respec(e, 3, func(s *dynet.FloodSpec) { s.D++ })
+			return 2 * n, dynet.StopNode(0)
+		}},
+		{"tokens disagree", dynet.DeclineSpecMismatch, func(e *dynet.Engine) (int, dynet.FloodStop) {
+			respec(e, 2, func(s *dynet.FloodSpec) { s.Token++ })
+			return 2 * n, dynet.StopNode(0)
+		}},
+		{"source uninformed", dynet.DeclineSourceUninformed, func(e *dynet.Engine) (int, dynet.FloodStop) {
+			respec(e, 0, func(s *dynet.FloodSpec) { s.Informed = false })
 			return 2 * n, dynet.StopNode(0)
 		}},
 	}
 	for _, tc := range cases {
 		e := mk()
 		maxRounds, stop := tc.mut(e)
+		if got := e.FloodFastDecline(maxRounds, stop); got != tc.want {
+			t.Fatalf("%s: FloodFastDecline = %q, want %q", tc.name, got, tc.want)
+		}
 		if _, ok, err := e.TryFloodFast(maxRounds, stop); ok || err != nil {
 			t.Fatalf("%s: fast path did not decline cleanly (ok=%v err=%v)", tc.name, ok, err)
 		}
+		var declined []obs.MetricPoint
+		for _, p := range e.Metrics.Snapshot() {
+			if strings.HasPrefix(p.Name, "engine_floodfast_declined_") {
+				declined = append(declined, p)
+			}
+		}
+		want := "engine_floodfast_declined_" + string(tc.want) + "_total"
+		if len(declined) != 1 || declined[0].Name != want || declined[0].Value != 1 {
+			t.Fatalf("%s: decline counters %+v, want %s = 1 alone", tc.name, declined, want)
+		}
+	}
+	if got := mk().FloodFastDecline(2*n, dynet.StopNode(0)); got != dynet.FloodEngaged {
+		t.Fatalf("clean engine: FloodFastDecline = %q, want engaged", got)
 	}
 	// RunFlood must still complete correctly through the fallback.
 	e := mk()
@@ -452,6 +509,94 @@ func TestFloodFastTopologyErrors(t *testing.T) {
 				t.Fatalf("message %v, fast %v", wantErr, gotErr)
 			}
 		})
+	}
+}
+
+// countingDelta counts the script ops its DeltaAdversary hands out.
+type countingDelta struct {
+	dynet.DeltaAdversary
+	ops int
+}
+
+func (c *countingDelta) Diff(r int, actions []dynet.Action, d *dynet.EdgeDiff) {
+	before := d.Len()
+	c.DeltaAdversary.Diff(r, actions, d)
+	c.ops += d.Len() - before
+}
+
+// TestFloodFastDeadSnapshot covers both sides of the rule that stops
+// editing the delta snapshot once every node is informed. The adversary
+// is a ring, cut in two for rounds 10-12: after every node is informed
+// (round 8) but before the source confirms (round 15).
+func TestFloodFastDeadSnapshot(t *testing.T) {
+	const n = 16
+	ring := graph.Ring(n)
+	cut := graph.Ring(n)
+	cut.RemoveEdge(0, 1)
+	cut.RemoveEdge(8, 9)
+	topology := func(r int, _ []dynet.Action) *graph.Graph {
+		if r >= 10 && r <= 12 {
+			return cut
+		}
+		return ring
+	}
+	run := func(fast, connCheck bool) (*dynet.Result, *obs.Registry, *countingDelta, error) {
+		reg := obs.NewRegistry()
+		e := &dynet.Engine{
+			Machines:          newFloodMachines(n, 4, 0),
+			Adv:               dynet.AdversaryFunc(topology),
+			Workers:           1,
+			Metrics:           reg,
+			CheckConnectivity: connCheck,
+		}
+		if !fast {
+			e.Terminated = dynet.NodeDecided(0)
+			res, err := e.Run(20)
+			return res, reg, nil, err
+		}
+		adv := &countingDelta{DeltaAdversary: dynet.DeltaFrom(dynet.AdversaryFunc(topology))}
+		e.Adv = adv
+		res, ok, err := e.TryFloodFast(20, dynet.StopNode(0))
+		if !ok {
+			t.Fatal("fast path declined")
+		}
+		return res, reg, adv, err
+	}
+
+	// Connectivity checked: the cut must still reach the validator, so
+	// the snapshot keeps being edited and the run fails like Run does.
+	_, _, _, wantErr := run(false, true)
+	_, _, _, gotErr := run(true, true)
+	if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
+		t.Fatalf("with connectivity check: message %v, fast %v", wantErr, gotErr)
+	}
+
+	// Unchecked: the message path applies every round's topology, so it
+	// is the reference with no skip. Results and the shared metrics must
+	// match it, and the fast path must still have ingested every op the
+	// adversary emitted (2 deletions in round 10, 2 insertions in 13).
+	wantRes, wantReg, _, err := run(false, false)
+	if err != nil || !wantRes.Done {
+		t.Fatalf("message path: res=%+v err=%v", wantRes, err)
+	}
+	gotRes, gotReg, adv, err := run(true, false)
+	if err != nil {
+		t.Fatalf("fast path: %v", err)
+	}
+	if !reflect.DeepEqual(wantRes, gotRes) {
+		t.Fatalf("result mismatch:\nmessage %+v\nfast    %+v", wantRes, gotRes)
+	}
+	var shared []obs.MetricPoint
+	for _, p := range gotReg.Snapshot() {
+		if !strings.HasPrefix(p.Name, "engine_floodfast_") {
+			shared = append(shared, p)
+		}
+	}
+	if want := wantReg.Snapshot(); !reflect.DeepEqual(want, shared) {
+		t.Fatalf("metrics mismatch:\nmessage %+v\nfast    %+v", want, shared)
+	}
+	if got := gotReg.Counter("engine_floodfast_diff_ops_total").Value(); adv.ops != 4 || got != int64(adv.ops) {
+		t.Fatalf("engine_floodfast_diff_ops_total = %d, adversary emitted %d ops, want 4", got, adv.ops)
 	}
 }
 

@@ -47,12 +47,7 @@ func RandomConnected(n, extraEdges int, src *rng.Source) *Graph {
 	if n <= 1 {
 		return g
 	}
-	// Random spanning tree: attach each vertex (in random order) to a
-	// uniformly random earlier vertex.
-	order := src.Perm(n)
-	for i := 1; i < n; i++ {
-		g.AddEdge(order[i], order[src.Intn(i)])
-	}
+	addRandomTree(g, src, nil)
 	for k := 0; k < extraEdges; k++ {
 		u, v := src.Intn(n), src.Intn(n)
 		if u != v {
@@ -60,6 +55,36 @@ func RandomConnected(n, extraEdges int, src *rng.Source) *Graph {
 		}
 	}
 	return g
+}
+
+// RandomTree returns RandomConnected(n, 0, src) — the same draws from src,
+// the same graph — together with each vertex's parent in that spanning
+// tree (-1 at the root). Edge (u, v) is a tree edge iff
+// parent[u] == v || parent[v] == u, an O(1) membership test.
+func RandomTree(n int, src *rng.Source) (*Graph, []int32) {
+	g := New(n)
+	parent := make([]int32, n)
+	for v := range parent {
+		parent[v] = -1
+	}
+	if n > 1 {
+		addRandomTree(g, src, parent)
+	}
+	return g, parent
+}
+
+// addRandomTree adds a random spanning tree to g: each vertex, in random
+// order, attaches to a uniformly random earlier vertex, which is recorded
+// in parent when parent is non-nil.
+func addRandomTree(g *Graph, src *rng.Source, parent []int32) {
+	order := src.Perm(g.n)
+	for i := 1; i < g.n; i++ {
+		p := order[src.Intn(i)]
+		g.AddEdge(order[i], p)
+		if parent != nil {
+			parent[order[i]] = int32(p)
+		}
+	}
 }
 
 // BoundedDiameterRandom returns a connected random graph whose static

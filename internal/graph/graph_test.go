@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -206,6 +207,31 @@ func TestRandomConnectedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRandomTreeMatchesRandomConnected: RandomTree draws the same tree as
+// RandomConnected(n, 0, ·), and its parent array names exactly the tree's
+// edges.
+func TestRandomTreeMatchesRandomConnected(t *testing.T) {
+	t.Parallel()
+	for _, n := range []int{0, 1, 2, 3, 17, 500} {
+		g, parent := RandomTree(n, rng.New(uint64(n)))
+		want := RandomConnected(n, 0, rng.New(uint64(n)))
+		if !reflect.DeepEqual(g.Edges(), want.Edges()) {
+			t.Fatalf("n=%d: RandomTree's graph differs from RandomConnected's", n)
+		}
+		roots := 0
+		for v, p := range parent {
+			if p < 0 {
+				roots++
+			} else if !g.HasEdge(v, int(p)) {
+				t.Fatalf("n=%d: parent edge %d-%d not in the tree", n, v, p)
+			}
+		}
+		if n > 0 && (roots != 1 || g.M() != n-1) {
+			t.Fatalf("n=%d: %d roots, %d edges; want 1 root, %d edges", n, roots, g.M(), n-1)
+		}
 	}
 }
 

@@ -48,6 +48,29 @@ func MeasureDynamicDiameter(adv dynet.Adversary, n, horizon int) (int, error) {
 	return d, nil
 }
 
+// maxHorizonDoublings caps familyDiameter's horizon growth: four
+// doublings reach 16 times the starting horizon.
+const maxHorizonDoublings = 4
+
+// familyDiameter measures the dynamic diameter of the low-diameter family
+// the sweeps run on, BoundedDiameter(n, targetDiam, n/2, seed). It starts
+// at horizon 6·targetDiam+60; while the measurement fails — for this
+// family that means the prefix did not certify the diameter — it doubles
+// the horizon and measures a fresh adversary again, up to
+// maxHorizonDoublings times. A seed whose first horizon certifies gets
+// exactly the measurement a fixed horizon gave.
+func familyDiameter(n, targetDiam int, seed uint64) (d int, err error) {
+	horizon := 6*targetDiam + 60
+	for doubling := 0; doubling <= maxHorizonDoublings; doubling++ {
+		d, err = MeasureDynamicDiameter(adversaries.BoundedDiameter(n, targetDiam, n/2, seed), n, horizon)
+		if err == nil {
+			return d, nil
+		}
+		horizon *= 2
+	}
+	return d, err
+}
+
 // GapRow is one row of the E4 headline table.
 type GapRow struct {
 	N              int
@@ -72,7 +95,7 @@ func GapTable(sizes []int, targetDiam int, seed uint64) ([]GapRow, error) {
 		makeAdv := func() dynet.Adversary {
 			return adversaries.BoundedDiameter(n, targetDiam, n/2, seed+uint64(n))
 		}
-		d, err := MeasureDynamicDiameter(makeAdv(), n, 6*targetDiam+60)
+		d, err := familyDiameter(n, targetDiam, seed+uint64(n))
 		if err != nil {
 			return err
 		}
@@ -156,8 +179,7 @@ func LeaderSweep(sizes []int, targetDiam int, nprimeFactor float64, cPermille in
 	err := forEachCell(len(sizes), func(i int, reg *obs.Registry) error {
 		n := sizes[i]
 		adv := adversaries.BoundedDiameter(n, targetDiam, n/2, seed+uint64(n))
-		d, err := MeasureDynamicDiameter(
-			adversaries.BoundedDiameter(n, targetDiam, n/2, seed+uint64(n)), n, 6*targetDiam+60)
+		d, err := familyDiameter(n, targetDiam, seed+uint64(n))
 		if err != nil {
 			return err
 		}
@@ -241,8 +263,7 @@ func EstimateSweep(sizes, ks []int, targetDiam int, seed uint64) ([]EstimateRow,
 		// pure function of (n, seed), so every k-cell of one n sees the
 		// same d the sequential sweep computed once.
 		n, k := sizes[i/len(ks)], ks[i%len(ks)]
-		d, err := MeasureDynamicDiameter(
-			adversaries.BoundedDiameter(n, targetDiam, n/2, seed+uint64(n)), n, 6*targetDiam+60)
+		d, err := familyDiameter(n, targetDiam, seed+uint64(n))
 		if err != nil {
 			return err
 		}
@@ -304,8 +325,7 @@ type MajorityRow struct {
 //
 //lint:pure
 func MajoritySweep(n int, fracs []float64, targetDiam int, seed uint64) ([]MajorityRow, error) {
-	d, err := MeasureDynamicDiameter(
-		adversaries.BoundedDiameter(n, targetDiam, n/2, seed), n, 6*targetDiam+60)
+	d, err := familyDiameter(n, targetDiam, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -375,8 +395,7 @@ func ConsensusGap(sizes []int, targetDiam int, seed uint64) ([]ConsensusGapRow, 
 	rows := make([]ConsensusGapRow, len(sizes))
 	err := forEachCell(len(sizes), func(i int, reg *obs.Registry) error {
 		n := sizes[i]
-		d, err := MeasureDynamicDiameter(
-			adversaries.BoundedDiameter(n, targetDiam, n/2, seed+uint64(n)), n, 6*targetDiam+60)
+		d, err := familyDiameter(n, targetDiam, seed+uint64(n))
 		if err != nil {
 			return err
 		}

@@ -178,6 +178,32 @@ func TestMajoritySweep(t *testing.T) {
 	_ = FormatMajorityTable(rows).String()
 }
 
+// TestMajoritySweepSeed12 is the cmd/report -seed 12 regression: the
+// family's diameter at (N=48, seed 12) is not certified by the starting
+// horizon, so the sweep must grow the horizon rather than fail.
+func TestMajoritySweepSeed12(t *testing.T) {
+	const n, target, seed = 48, 4, 12
+	if _, err := MeasureDynamicDiameter(adversaries.BoundedDiameter(n, target, n/2, seed), n, 6*target+60); err == nil {
+		t.Fatal("the starting horizon certifies seed 12; this test no longer covers horizon growth")
+	}
+	d, err := familyDiameter(n, target, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact, err := MeasureDynamicDiameter(adversaries.BoundedDiameter(n, target, n/2, seed), n, 16*(6*target+60)); err != nil || exact != d {
+		t.Fatalf("grown horizon measured D=%d; the longest horizon measures %d (err %v)", d, exact, err)
+	}
+	rows, err := MajoritySweep(n, []float64{0.25, 0.5, 0.75, 1.0}, target, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.FalseClaims != 0 {
+			t.Errorf("frac=%.2f: %d unsound majority claims", r.HolderFrac, r.FalseClaims)
+		}
+	}
+}
+
 func TestFigures(t *testing.T) {
 	f1, err := Figure1()
 	if err != nil {

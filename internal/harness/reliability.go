@@ -89,8 +89,7 @@ type PhaseBreakdown struct {
 // and reports its phase breakdown.
 func LeaderPhases(n, targetDiam int, seed uint64, extra map[string]int64) (PhaseBreakdown, error) {
 	adv := adversaries.BoundedDiameter(n, targetDiam, n/2, seed)
-	d, err := MeasureDynamicDiameter(
-		adversaries.BoundedDiameter(n, targetDiam, n/2, seed), n, 6*targetDiam+60)
+	d, err := familyDiameter(n, targetDiam, seed)
 	if err != nil {
 		return PhaseBreakdown{}, err
 	}

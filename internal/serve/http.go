@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 
@@ -23,7 +24,8 @@ type errorBody struct {
 // Handler builds the service's HTTP API:
 //
 //	POST /jobs             submit a job; 202 new, 200 duplicate,
-//	                       400 invalid, 429 (+Retry-After) queue full
+//	                       400 invalid, 413 body over 64 KiB,
+//	                       429 (+Retry-After) queue full
 //	GET  /jobs             list all entries in submission order
 //	GET  /jobs/{id}        one entry's status
 //	GET  /jobs/{id}/result the stored result body (202 while pending,
@@ -61,11 +63,20 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	_ = enc.Encode(v)
 }
 
+// maxSubmitBytes caps a POST /jobs body. The largest valid request (every
+// list at its validation bound) is a few kilobytes.
+const maxSubmitBytes = 64 << 10
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body over %d bytes", tooBig.Limit)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid request body: " + err.Error()})
 		return
 	}

@@ -154,6 +154,25 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPSubmitBodyTooLarge: a job body over the cap is refused with
+// 413 and the JSON error envelope, and creates no job.
+func TestHTTPSubmitBodyTooLarge(t *testing.T) {
+	t.Parallel()
+	s, ts := newHTTPServer(t, Config{})
+	body := `{"kind":"` + strings.Repeat("x", maxSubmitBytes) + `","params":{}}`
+	resp, data := postJob(t, ts, body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d body %s, want 413", resp.StatusCode, data)
+	}
+	var e errorBody
+	if err := json.Unmarshal(data, &e); err != nil || e.Error == "" {
+		t.Fatalf("error envelope = %s", data)
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("oversized body created %d jobs", len(jobs))
+	}
+}
+
 func TestHTTPBackpressure429(t *testing.T) {
 	t.Parallel()
 	release := make(chan struct{})
