@@ -159,7 +159,8 @@ func RandomConnectedAdversary(n, extraEdges int, seed uint64) Adversary {
 }
 
 // BoundedDiameterAdversary keeps every round's static diameter at most
-// targetDiam.
+// targetDiam. It redraws one graph in place each round, so it is not safe
+// for concurrent use: give each run its own instance.
 func BoundedDiameterAdversary(n, targetDiam, extraEdges int, seed uint64) Adversary {
 	return adversaries.BoundedDiameter(n, targetDiam, extraEdges, seed)
 }

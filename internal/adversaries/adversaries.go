@@ -27,11 +27,16 @@ func RandomConnected(n, extraEdges int, seed uint64) dynet.Adversary {
 }
 
 // BoundedDiameter changes the topology every round to a random connected
-// graph whose static diameter is at most targetDiam.
+// graph whose static diameter is at most targetDiam: round r's graph is
+// graph.BoundedDiameterRandom over the seed's stream r. The adversary
+// redraws one graph in place each round (valid until the next Topology
+// call, as the Adversary contract allows), so it keeps state and is not
+// safe for concurrent use: give each run its own instance.
 func BoundedDiameter(n, targetDiam, extraEdges int, seed uint64) dynet.Adversary {
 	src := rng.New(seed)
+	var b graph.BoundedDiameterBuilder
 	return dynet.AdversaryFunc(func(r int, _ []dynet.Action) *graph.Graph {
-		return graph.BoundedDiameterRandom(n, targetDiam, extraEdges, src.Split(uint64(r)))
+		return b.Build(n, targetDiam, extraEdges, src.Split(uint64(r)))
 	})
 }
 

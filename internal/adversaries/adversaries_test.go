@@ -1,6 +1,8 @@
 package adversaries
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"dyndiam/internal/dynet"
@@ -106,5 +108,57 @@ func TestStallerBookkeeping(t *testing.T) {
 	}
 	if count != 2 {
 		t.Fatalf("informed %d nodes after forced concession, want 2", count)
+	}
+}
+
+// TestBoundedDiameterGolden pins BoundedDiameter's per-round topologies
+// edge for edge, now that one graph is redrawn in place every round; the
+// hashes were recorded when every round built a fresh graph.
+func TestBoundedDiameterGolden(t *testing.T) {
+	for _, tc := range []struct {
+		n, d, extra int
+		seed        uint64
+		want        uint64
+	}{
+		{2, 2, 1, 3, 0x3a4055dacccd04d9},
+		{9, 2, 4, 5, 0xcf66b9f2b6f6ab26},
+		{40, 6, 20, 2, 0x6b9d8b938b395f51},
+		{300, 4, 150, 7, 0x2d20d968b6085bac},
+		{64, 1, 0, 1, 0x8b5675f87cf0aa79},
+	} {
+		adv := BoundedDiameter(tc.n, tc.d, tc.extra, tc.seed)
+		actions := make([]dynet.Action, tc.n)
+		h := fnv.New64a()
+		var buf [8]byte
+		for r := 1; r <= 60; r++ {
+			g := adv.Topology(r, actions)
+			binary.LittleEndian.PutUint32(buf[0:], uint32(r))
+			binary.LittleEndian.PutUint32(buf[4:], uint32(g.M()))
+			h.Write(buf[:])
+			for _, e := range g.Edges() {
+				binary.LittleEndian.PutUint32(buf[0:], uint32(e[0]))
+				binary.LittleEndian.PutUint32(buf[4:], uint32(e[1]))
+				h.Write(buf[:])
+			}
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("BoundedDiameter%+v: topology hash %#016x, want %#016x", tc, got, tc.want)
+		}
+	}
+}
+
+// TestBoundedDiameterSteadyStateAllocs: once the first rounds have sized
+// the adversary's graph and scratch, a round's topology costs one
+// allocation — the round's rng.Source, which Split returns on the heap.
+func TestBoundedDiameterSteadyStateAllocs(t *testing.T) {
+	const n = 200
+	adv := BoundedDiameter(n, 4, n/2, 9)
+	actions := make([]dynet.Action, n)
+	for r := 1; r <= 5; r++ {
+		adv.Topology(r, actions)
+	}
+	r := 5
+	if avg := testing.AllocsPerRun(50, func() { r++; adv.Topology(r, actions) }); avg != 1 {
+		t.Errorf("BoundedDiameter.Topology allocates %v per round in steady state, want 1", avg)
 	}
 }

@@ -63,8 +63,23 @@ func (w *Writer) WriteUint(v uint64, width int) {
 		//lint:allow panicfree an overflowing field is a protocol-design bug, not runtime input
 		panic(fmt.Sprintf("bitio: value %d does not fit in %d bits", v, width))
 	}
-	for i := width - 1; i >= 0; i-- {
-		w.WriteBit(v>>uint(i)&1 == 1)
+	// Fill the last byte's free low bits, then whole bytes: at most eight
+	// bits per step. len(buf) == ceil(nbit/8) always holds, so the byte
+	// being filled is the last one.
+	for width > 0 {
+		off := w.nbit & 7
+		if off == 0 {
+			w.buf = append(w.buf, 0)
+		}
+		free := 8 - off
+		k := free
+		if width < k {
+			k = width
+		}
+		width -= k
+		chunk := byte(v>>uint(width)) & byte(1<<uint(k)-1)
+		w.buf[len(w.buf)-1] |= chunk << uint(free-k)
+		w.nbit += k
 	}
 }
 
@@ -79,8 +94,10 @@ func (w *Writer) WriteUvarint(v uint64) {
 	for {
 		group := v & 0xF
 		v >>= 4
-		w.WriteBit(v != 0) // continuation
-		w.WriteUint(group, 4)
+		if v != 0 {
+			group |= 0x10 // continuation bit, written before the group
+		}
+		w.WriteUint(group, 5)
 		if v == 0 {
 			return
 		}
@@ -113,8 +130,17 @@ type Reader struct {
 	nbit int // total valid bits
 }
 
-// NewReader returns a Reader over the first nbit bits of buf.
+// NewReader returns a Reader over the first nbit bits of buf. nbit is
+// clamped to [0, 8*len(buf)]: a bit length that claims more than the
+// buffer holds (a malformed or hostile message) reads as a short stream
+// ending in ErrOverflow, never as an index past buf.
 func NewReader(buf []byte, nbit int) *Reader {
+	if nbit < 0 {
+		nbit = 0
+	}
+	if max := 8 * len(buf); nbit > max {
+		nbit = max
+	}
 	return &Reader{buf: buf, nbit: nbit}
 }
 
@@ -132,20 +158,29 @@ func (r *Reader) ReadBit() (bool, error) {
 }
 
 // ReadUint consumes width bits and returns them as an unsigned integer.
+// A read that runs past the end consumes the rest of the stream and
+// returns ErrOverflow.
 func (r *Reader) ReadUint(width int) (uint64, error) {
 	if width < 0 || width > 64 {
 		return 0, fmt.Errorf("bitio: invalid width %d: %w", width, ErrRange)
 	}
+	if width > r.nbit-r.pos {
+		r.pos = r.nbit
+		return 0, ErrOverflow
+	}
+	// Take the rest of the current byte, then whole bytes: at most eight
+	// bits per step.
 	var v uint64
-	for i := 0; i < width; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
+	for width > 0 {
+		avail := 8 - r.pos&7
+		k := avail
+		if width < k {
+			k = width
 		}
-		v <<= 1
-		if b {
-			v |= 1
-		}
+		chunk := r.buf[r.pos>>3] >> uint(avail-k) & byte(1<<uint(k)-1)
+		v = v<<uint(k) | uint64(chunk)
+		r.pos += k
+		width -= k
 	}
 	return v, nil
 }
@@ -158,20 +193,16 @@ func (r *Reader) ReadUvarint() (uint64, error) {
 	var v uint64
 	shift := 0
 	for {
-		cont, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		group, err := r.ReadUint(4)
+		group, err := r.ReadUint(5) // continuation bit, then 4 value bits
 		if err != nil {
 			return 0, err
 		}
 		if shift >= 64 {
 			return 0, ErrRange
 		}
-		v |= group << uint(shift)
+		v |= group & 0xF << uint(shift)
 		shift += 4
-		if !cont {
+		if group&0x10 == 0 {
 			return v, nil
 		}
 	}

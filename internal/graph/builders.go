@@ -43,18 +43,18 @@ func Complete(n int) *Graph {
 // RandomConnected returns a connected graph on n vertices with roughly
 // extraEdges edges beyond a random spanning tree, drawn from src.
 func RandomConnected(n, extraEdges int, src *rng.Source) *Graph {
-	g := New(n)
 	if n <= 1 {
-		return g
+		return New(n)
 	}
-	addRandomTree(g, src, nil)
+	us, vs := randomTree(n, max(extraEdges, 0), src, nil)
 	for k := 0; k < extraEdges; k++ {
 		u, v := src.Intn(n), src.Intn(n)
 		if u != v {
-			g.AddEdge(u, v)
+			us = append(us, int32(u))
+			vs = append(vs, int32(v))
 		}
 	}
-	return g
+	return fromEdges(n, us, vs)
 }
 
 // RandomTree returns RandomConnected(n, 0, src) — the same draws from src,
@@ -62,29 +62,43 @@ func RandomConnected(n, extraEdges int, src *rng.Source) *Graph {
 // tree (-1 at the root). Edge (u, v) is a tree edge iff
 // parent[u] == v || parent[v] == u, an O(1) membership test.
 func RandomTree(n int, src *rng.Source) (*Graph, []int32) {
-	g := New(n)
 	parent := make([]int32, n)
 	for v := range parent {
 		parent[v] = -1
 	}
-	if n > 1 {
-		addRandomTree(g, src, parent)
+	if n <= 1 {
+		return New(n), parent
 	}
-	return g, parent
+	us, vs := randomTree(n, 0, src, parent)
+	return fromEdges(n, us, vs), parent
 }
 
-// addRandomTree adds a random spanning tree to g: each vertex, in random
-// order, attaches to a uniformly random earlier vertex, which is recorded
-// in parent when parent is non-nil.
-func addRandomTree(g *Graph, src *rng.Source, parent []int32) {
-	order := src.Perm(g.n)
-	for i := 1; i < g.n; i++ {
+// fromEdges returns the graph SetEdges builds from the edge list, without
+// the build scratch: a graph built once need not keep it.
+func fromEdges(n int, us, vs []int32) *Graph {
+	g := New(n)
+	g.SetEdges(n, us, vs)
+	g.off, g.tmp = nil, nil
+	return g
+}
+
+// randomTree draws a random spanning tree over n > 1 vertices: each
+// vertex, in random order, attaches to a uniformly random earlier vertex,
+// which is recorded in parent when parent is non-nil. It returns the n-1
+// tree edges as endpoint lists with room for spare more.
+func randomTree(n, spare int, src *rng.Source, parent []int32) (us, vs []int32) {
+	order := src.Perm(n)
+	us = make([]int32, 0, n-1+spare)
+	vs = make([]int32, 0, n-1+spare)
+	for i := 1; i < n; i++ {
 		p := order[src.Intn(i)]
-		g.AddEdge(order[i], p)
+		us = append(us, int32(order[i]))
+		vs = append(vs, int32(p))
 		if parent != nil {
 			parent[order[i]] = int32(p)
 		}
 	}
+	return us, vs
 }
 
 // BoundedDiameterRandom returns a connected random graph whose static
@@ -92,9 +106,32 @@ func addRandomTree(g *Graph, src *rng.Source, parent []int32) {
 // around a random center, plus extra random edges. It gives the upper-bound
 // experiments a family of low-diameter, size-N topologies.
 func BoundedDiameterRandom(n, targetDiam, extraEdges int, src *rng.Source) *Graph {
-	g := New(n)
+	var b BoundedDiameterBuilder
+	return b.Build(n, targetDiam, extraEdges, src)
+}
+
+// BoundedDiameterBuilder draws BoundedDiameterRandom graphs into one Graph
+// it keeps, reusing that graph and its scratch (permutation, tree layers,
+// edge lists) on every Build, so a topology redrawn every round stops
+// allocating once the buffers fit. The zero value is ready to use. A
+// builder is not safe for concurrent use.
+type BoundedDiameterBuilder struct {
+	g      *Graph
+	order  []int
+	layers [][]int32
+	us, vs []int32
+}
+
+// Build returns BoundedDiameterRandom(n, targetDiam, extraEdges, src) — the
+// same draws from src, the same graph — rebuilt in the builder's graph,
+// which stays valid until the next Build.
+func (b *BoundedDiameterBuilder) Build(n, targetDiam, extraEdges int, src *rng.Source) *Graph {
+	if b.g == nil {
+		b.g = New(n)
+	}
 	if n <= 1 {
-		return g
+		b.g.SetEdges(n, nil, nil)
+		return b.g
 	}
 	depth := targetDiam / 2
 	if depth < 1 {
@@ -102,23 +139,37 @@ func BoundedDiameterRandom(n, targetDiam, extraEdges int, src *rng.Source) *Grap
 	}
 	// Layered random tree: layer 0 is the center; vertex i in layer l
 	// attaches to a random vertex in layer l-1.
-	order := src.Perm(n)
-	layers := make([][]int, depth+1)
-	layers[0] = []int{order[0]}
+	if cap(b.order) < n {
+		b.order = make([]int, n)
+	}
+	order := src.PermInto(b.order[:n])
+	for len(b.layers) <= depth {
+		b.layers = append(b.layers, nil)
+	}
+	layers := b.layers[:depth+1]
+	for l := range layers {
+		layers[l] = layers[l][:0]
+	}
+	layers[0] = append(layers[0], int32(order[0]))
+	us, vs := b.us[:0], b.vs[:0]
 	for i := 1; i < n; i++ {
 		l := 1 + src.Intn(depth)
-		for layers[l-1] == nil || len(layers[l-1]) == 0 {
+		for len(layers[l-1]) == 0 {
 			l--
 		}
 		parent := layers[l-1][src.Intn(len(layers[l-1]))]
-		g.AddEdge(order[i], parent)
-		layers[l] = append(layers[l], order[i])
+		us = append(us, int32(order[i]))
+		vs = append(vs, parent)
+		layers[l] = append(layers[l], int32(order[i]))
 	}
 	for k := 0; k < extraEdges; k++ {
 		u, v := src.Intn(n), src.Intn(n)
 		if u != v {
-			g.AddEdge(u, v)
+			us = append(us, int32(u))
+			vs = append(vs, int32(v))
 		}
 	}
-	return g
+	b.us, b.vs = us, vs
+	b.g.SetEdges(n, us, vs)
+	return b.g
 }

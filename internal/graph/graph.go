@@ -19,7 +19,9 @@ type Graph struct {
 	n   int
 	m   int       // edge count, maintained incrementally
 	adj [][]int32 // adj[v] is v's neighbor list, sorted ascending
-	mem []int32   // arena backing adj after CopyFrom (reused across copies)
+	mem []int32   // arena backing adj after CopyFrom/SetEdges (reused)
+	off []int32   // SetEdges scratch: list offsets and write cursors
+	tmp []int32   // SetEdges scratch: neighbors grouped by vertex
 }
 
 // New returns an empty graph with n vertices.
@@ -41,6 +43,17 @@ func (g *Graph) M() int { return g.m }
 func (g *Graph) check(v int) {
 	if v < 0 || v >= g.n {
 		panic("graph: vertex out of range")
+	}
+}
+
+// mustEdge panics unless (u, v) is an edge the model allows: both
+// endpoints in range and no self-loop — an adversary emitting either is a
+// programming error.
+func (g *Graph) mustEdge(u, v int) {
+	g.check(u)
+	g.check(v)
+	if u == v {
+		panic("graph: self-loop")
 	}
 }
 
@@ -85,12 +98,7 @@ func remove32(s []int32, x int32) ([]int32, bool) {
 // AddEdge inserts the undirected edge (u, v). Adding an existing edge is a
 // no-op. It panics on self-loops or out-of-range vertices.
 func (g *Graph) AddEdge(u, v int) {
-	g.check(u)
-	g.check(v)
-	if u == v {
-		//lint:allow panicfree the model forbids self-loops; an adversary emitting one is a programming error
-		panic("graph: self-loop")
-	}
+	g.mustEdge(u, v)
 	nu, inserted := insert32(g.adj[u], int32(v))
 	if !inserted {
 		return
@@ -189,18 +197,7 @@ func (g *Graph) Clone() *Graph {
 // when capacities allow — the steady-state zero-allocation path for
 // adversaries that present "base graph plus per-round edits" topologies.
 func (g *Graph) CopyFrom(src *Graph) {
-	need := 2 * src.m
-	if cap(g.mem) < need {
-		g.mem = make([]int32, need) //lint:allow hotpathalloc capacity growth only; steady state reuses the arena
-	}
-	g.mem = g.mem[:need]
-	if len(g.adj) != src.n {
-		if cap(g.adj) >= src.n {
-			g.adj = g.adj[:src.n]
-		} else {
-			g.adj = make([][]int32, src.n) //lint:allow hotpathalloc capacity growth only; steady state reuses the headers
-		}
-	}
+	g.reshape(src.n, 2*src.m)
 	o := 0
 	for v, nb := range src.adj {
 		d := len(nb)
@@ -212,7 +209,88 @@ func (g *Graph) CopyFrom(src *Graph) {
 		g.adj[v] = dst
 		o += d
 	}
-	g.n, g.m = src.n, src.m
+	g.m = src.m
+}
+
+// mustEdgeList panics unless n is a vertex count and us, vs pair up.
+func mustEdgeList(n int, us, vs []int32) {
+	if n < 0 || len(us) != len(vs) {
+		panic("graph: negative vertex count or unpaired edge endpoints")
+	}
+}
+
+// reshape sets the vertex count to n and sizes the arena to need entries,
+// reusing the header and arena storage when their capacities allow.
+func (g *Graph) reshape(n, need int) {
+	if cap(g.mem) < need {
+		g.mem = make([]int32, need) //lint:allow hotpathalloc capacity growth only; steady state reuses the arena
+	}
+	g.mem = g.mem[:need]
+	if cap(g.adj) < n {
+		g.adj = make([][]int32, n) //lint:allow hotpathalloc capacity growth only; steady state reuses the headers
+	}
+	g.adj = g.adj[:n]
+	g.n = n
+}
+
+// SetEdges replaces g with the graph over n vertices whose edges are
+// (us[i], vs[i]); duplicates and reversed pairs collapse, as with
+// AddEdge. It builds the sorted adjacency in bulk with a two-pass
+// counting sort — O(n + len(us)), no comparisons — into one arena that
+// later calls reuse, so a graph rebuilt every round stops allocating once
+// its buffers fit. It panics, like AddEdge, on a self-loop or an
+// out-of-range endpoint; us and vs must have equal lengths.
+func (g *Graph) SetEdges(n int, us, vs []int32) {
+	mustEdgeList(n, us, vs)
+	g.reshape(n, 2*len(us))
+	if cap(g.off) < 2*n+1 {
+		g.off = make([]int32, 2*n+1)
+	}
+	if cap(g.tmp) < 2*len(us) {
+		g.tmp = make([]int32, 2*len(us))
+	}
+	// off[v] is where v's list starts, in tmp and in the arena alike;
+	// cur[v] is v's write cursor.
+	off, cur, tmp := g.off[:n+1], g.off[n+1:2*n+1], g.tmp[:2*len(us)]
+	clear(off)
+	for i, u := range us {
+		g.mustEdge(int(u), int(vs[i]))
+		off[u+1]++
+		off[vs[i]+1]++
+	}
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
+	}
+	// Pass 1 groups the neighbors by vertex, in input order.
+	copy(cur, off)
+	for i, u := range us {
+		v := vs[i]
+		tmp[cur[u]] = v
+		cur[u]++
+		tmp[cur[v]] = u
+		cur[v]++
+	}
+	// Pass 2 visits x in ascending order and appends x to each neighbor's
+	// list, so every list comes out sorted, with x's duplicates adjacent.
+	copy(cur, off)
+	for x := 0; x < n; x++ {
+		for _, y := range tmp[off[x]:off[x+1]] {
+			c := cur[y]
+			if c > off[y] && g.mem[c-1] == int32(x) {
+				continue
+			}
+			g.mem[c] = int32(x)
+			cur[y] = c + 1
+		}
+	}
+	total := 0
+	for v := 0; v < n; v++ {
+		// The full slice expression caps the list at its own region, so
+		// a later AddEdge cannot grow into the next vertex's neighbors.
+		g.adj[v] = g.mem[off[v]:cur[v]:off[v+1]]
+		total += int(cur[v] - off[v])
+	}
+	g.m = total / 2
 }
 
 // Union returns a new graph over max(g.N, h.N) vertices whose edge set is

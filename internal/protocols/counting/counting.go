@@ -31,7 +31,7 @@ package counting
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"dyndiam/internal/bitio"
 	"dyndiam/internal/rng"
@@ -57,6 +57,7 @@ func KFor(n int) int {
 type Sketch struct {
 	k    int
 	mins map[int64][]float32
+	vals []int64 // keys of mins, sorted ascending
 }
 
 // NewSketch returns an empty sketch with k copies.
@@ -80,6 +81,8 @@ func (s *Sketch) row(value int64) []float32 {
 			row[i] = float32(math.Inf(1))
 		}
 		s.mins[value] = row
+		i, _ := slices.BinarySearch(s.vals, value)
+		s.vals = slices.Insert(s.vals, i, value)
 	}
 	return row
 }
@@ -109,14 +112,9 @@ func (s *Sketch) Merge(value int64, copy int, min float32) {
 	}
 }
 
-// Values returns the values present in the sketch, sorted.
+// Values returns a fresh copy of the values present in the sketch, sorted.
 func (s *Sketch) Values() []int64 {
-	out := make([]int64, 0, len(s.mins))
-	for v := range s.mins { //lint:allow puritytaint iteration order cannot leak: values are sorted below
-		out = append(out, v) //lint:allow maporder collected values are sorted on the next line
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append(make([]int64, 0, len(s.vals)), s.vals...)
 }
 
 // Estimate returns the count estimate (k-1)/sum of minima for the value.
@@ -170,11 +168,10 @@ func DecodeRecord(rd *bitio.Reader) (value int64, copy int, min float32, err err
 // bandwidth serves it (the completeness case of the majority test); with
 // many values bandwidth dilutes, which only under-counts.
 func (s *Sketch) PickRecord(src *rng.Source) (value int64, copy int, min float32, ok bool) {
-	vals := s.Values()
-	if len(vals) == 0 {
+	if len(s.vals) == 0 {
 		return 0, 0, 0, false
 	}
-	value = vals[src.Intn(len(vals))]
+	value = s.vals[src.Intn(len(s.vals))]
 	copy = src.Intn(s.k)
 	min = s.mins[value][copy]
 	if math.IsInf(float64(min), 1) {

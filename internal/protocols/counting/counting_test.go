@@ -2,6 +2,7 @@ package counting
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -55,6 +56,35 @@ func TestSketchMissingCopiesEstimateZero(t *testing.T) {
 	}
 	if got := s.Estimate(99); got != 0 {
 		t.Errorf("estimate of unseen value = %v, want 0", got)
+	}
+}
+
+// TestSketchValuesAndPick: values arriving out of order are kept sorted,
+// Values returns a copy, and PickRecord draws value index, then copy,
+// exactly as indexing Values with the same source does.
+func TestSketchValuesAndPick(t *testing.T) {
+	s := NewSketch(3)
+	for _, v := range []int64{5, -3, 9, 0, 5, -3} {
+		for c := 0; c < 3; c++ {
+			s.Merge(v, c, float32(v)+10+float32(c))
+		}
+	}
+	vals := s.Values()
+	if want := []int64{-3, 0, 5, 9}; !reflect.DeepEqual(vals, want) {
+		t.Fatalf("Values = %v, want %v", vals, want)
+	}
+	vals[0] = 42
+	if got := s.Values()[0]; got != -3 {
+		t.Fatalf("Values aliases the sketch: first value %d after the caller's write", got)
+	}
+	for seed := uint64(0); seed < 20; seed++ {
+		ref := rng.New(seed)
+		wantV := s.Values()[ref.Intn(4)]
+		wantC := ref.Intn(3)
+		v, c, m, ok := s.PickRecord(rng.New(seed))
+		if !ok || v != wantV || c != wantC || m != float32(v)+10+float32(c) {
+			t.Fatalf("seed %d: PickRecord = %d, %d, %v, %v; want %d, %d", seed, v, c, m, ok, wantV, wantC)
+		}
 	}
 }
 

@@ -109,7 +109,12 @@ func (s *Source) Exp() float64 {
 
 // Perm returns a uniform random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
+	return s.PermInto(make([]int, n))
+}
+
+// PermInto overwrites p with a uniform random permutation of
+// [0, len(p)) and returns it, making the same draws as Perm(len(p)).
+func (s *Source) PermInto(p []int) []int {
 	for i := range p {
 		j := s.Intn(i + 1)
 		p[i] = p[j]

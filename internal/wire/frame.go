@@ -126,8 +126,10 @@ func WriteFrame(w io.Writer, f *Frame) error {
 
 // ReadFrame reads one frame. On a checksum mismatch it returns the
 // parsed frame together with ErrCRC; every other error is a transport
-// failure. Payload bytes are freshly allocated per frame and safe to
-// retain.
+// failure, including a bit length the payload cannot hold (checked
+// before the checksum, so no frame whose NBits overruns its payload ever
+// reaches a protocol decoder). Payload bytes are freshly allocated per
+// frame and safe to retain.
 func ReadFrame(r io.Reader) (Frame, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -142,6 +144,9 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		return Frame{}, err
 	}
 	f, sum := parseFrameBody(body[:total-4])
+	if err := checkNBits(int(f.NBits), len(f.Payload)); err != nil {
+		return Frame{}, err
+	}
 	if sum != binary.BigEndian.Uint32(body[total-4:]) {
 		return f, ErrCRC
 	}
@@ -163,6 +168,15 @@ func parseFrameBody(body []byte) (Frame, uint32) {
 		f.Payload = body[frameHeaderLen:]
 	}
 	return f, crc32.ChecksumIEEE(body)
+}
+
+// checkNBits rejects a message bit length that is negative or exceeds the
+// plen payload bytes carrying it.
+func checkNBits(nbits, plen int) error {
+	if nbits < 0 || nbits > 8*plen {
+		return fmt.Errorf("wire: %d message bits outside a %d-byte payload", nbits, plen)
+	}
+	return nil
 }
 
 // String renders a frame compactly for errors and debugging.

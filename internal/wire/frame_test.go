@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -11,7 +12,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
 		{Type: FrameHello, From: 3, Round: 17},
 		{Type: FrameStep, Round: 1},
-		{Type: FrameAct, Flags: FlagSend, Round: 9, From: 2, NBits: 52, Payload: []byte{0xde, 0xad, 0xbe, 0xef}},
+		{Type: FrameAct, Flags: FlagSend, Round: 9, From: 2, NBits: 29, Payload: []byte{0xde, 0xad, 0xbe, 0xef}},
 		{Type: FrameRelay, Flags: FlagNoFault, Round: 4, From: 1, To: 6, NBits: 8, Payload: []byte{0xff}},
 		{Type: FrameStatus, Flags: FlagDecided, Round: 12, From: 0, Payload: appendOutput(-42)},
 		{Type: FrameAbort, Payload: []byte("dynet: adversary returned disconnected topology in round 3")},
@@ -65,6 +66,39 @@ func TestReadFrameRejectsBadLength(t *testing.T) {
 	huge := []byte{0xff, 0xff, 0xff, 0xff}
 	if _, err := ReadFrame(bytes.NewReader(huge)); err == nil {
 		t.Fatal("oversized length accepted")
+	}
+}
+
+// TestReadFrameRejectsInconsistentNBits: a message bit length the payload
+// cannot hold is a transport error, even under a valid checksum, so a
+// peer cannot steer a receiver's bitio.Reader past its buffer. The same
+// bound holds for messages inside a replay log.
+func TestReadFrameRejectsInconsistentNBits(t *testing.T) {
+	for _, tc := range []struct {
+		nbits   int32
+		payload []byte
+		ok      bool
+	}{
+		{0, nil, true},
+		{24, []byte{1, 2, 3}, true},
+		{17, []byte{1, 2, 3}, true},
+		{25, []byte{1, 2, 3}, false},
+		{1, nil, false},
+		{-1, []byte{1}, false},
+		{1 << 30, []byte{1, 2}, false},
+	} {
+		rec := AppendFrame(nil, &Frame{Type: FrameRelay, Round: 1, From: 1, NBits: tc.nbits, Payload: tc.payload})
+		_, err := ReadFrame(bytes.NewReader(rec))
+		if tc.ok != (err == nil) || errors.Is(err, ErrCRC) {
+			t.Errorf("NBits %d over %d bytes: err = %v, want ok=%v and no ErrCRC", tc.nbits, len(tc.payload), err, tc.ok)
+		}
+		replay := []byte{0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 2}
+		replay = binary.BigEndian.AppendUint32(replay, uint32(tc.nbits))
+		replay = binary.BigEndian.AppendUint32(replay, uint32(len(tc.payload)))
+		replay = append(replay, tc.payload...)
+		if _, _, err := parseReplay(replay); tc.ok != (err == nil) {
+			t.Errorf("replayed NBits %d over %d bytes: err = %v, want ok=%v", tc.nbits, len(tc.payload), err, tc.ok)
+		}
 	}
 }
 

@@ -83,6 +83,9 @@ func parseReplay(payload []byte) (int, []replayRound, error) {
 			if len(p) < plen {
 				return 0, nil, fmt.Errorf("wire: replay round %d message %d payload truncated", from+i, j)
 			}
+			if err := checkNBits(nbits, plen); err != nil {
+				return 0, nil, fmt.Errorf("wire: replay round %d message %d: %w", from+i, j, err)
+			}
 			rr.inbox = append(rr.inbox, dynet.Message{
 				From:    sender,
 				NBits:   nbits,
